@@ -1,12 +1,12 @@
-//! **E13 — cube-and-conquer + persistent clause pool**: deep unaided
-//! induction and repeat-design service traffic, cold versus pooled.
+//! **E13 — persistent clause pool**: deep unaided induction and
+//! repeat-design service traffic, cold versus pooled.
 //!
 //! Two sections:
 //!
 //! * **induction** — unaided k-induction pushed deep (`max_k` well past
-//!   the default) on the lemma-hungry FIFO/ECC family, with the
-//!   portfolio's cube scheduler armed (`cube_depth > 0`, a small probe so
-//!   the hard step obligations actually split). Each cell runs three
+//!   the default) on the lemma-hungry FIFO/ECC family, behind a portfolio
+//!   with a small probe so the hard step obligations are raced. Each cell
+//!   runs three
 //!   sessions over the same design: **cold** (no seed — every query
 //!   starts from nothing), **seed** (warm [`SessionSeed`] with the clause
 //!   pool scoped off: template reuse + clean-depth skips only — the
@@ -21,8 +21,8 @@
 //!   skipping seeded base cases also skipped their learnt-clause warmup.
 //!   The pool closes exactly that gap, so this cell is the honesty check.
 //!
-//! The run is differential — it **fails with exit 1** if any pooled or
-//! cubed verdict diverges from its cold reference, or if the whole run
+//! The run is differential — it **fails with exit 1** if any seeded or
+//! pooled verdict diverges from its cold reference, or if the whole run
 //! records zero pool hits.
 //!
 //! Results go to stdout and `BENCH_cube.json` (working directory, or
@@ -41,8 +41,7 @@ use genfv_service::{DesignInput, JobRequest, ServiceConfig, VerificationService}
 use std::time::{Duration, Instant};
 
 /// Induction-section designs: the corpus members whose unaided step
-/// searches are deep enough for the pool and the cube scheduler to have
-/// something to chew on.
+/// searches are deep enough for the pool to have something to chew on.
 const INDUCTION_DESIGNS: &[&str] = &["fifo_counters", "ecc_counter", "credit_flow", "parity_pipe"];
 
 /// Service-section designs: capital-dominated repeat traffic plus the
@@ -66,15 +65,14 @@ fn median(samples: &mut [Duration]) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// The deep-induction check configuration: cube scheduling armed with a
-/// small probe so conflict-heavy step obligations split instead of
-/// grinding solo.
+/// The deep-induction check configuration: a portfolio with a small
+/// probe so conflict-heavy step obligations are raced instead of grinding
+/// solo.
 fn deep_config() -> CheckConfig {
     CheckConfig {
         max_k: DEEP_K,
         portfolio: Some(PortfolioConfig {
             probe_conflicts: Some(256),
-            cube_depth: 2,
             ..PortfolioConfig::default()
         }),
         ..CheckConfig::default()
@@ -86,8 +84,6 @@ struct InductionCell {
     cold: Duration,
     seed_only: Duration,
     pooled: Duration,
-    /// Cold-run stats: the hard (splittable) obligations live here.
-    cold_stats: SessionStats,
     /// Pooled warm-run stats: the pool traffic lives here.
     stats: SessionStats,
     agree: bool,
@@ -115,11 +111,9 @@ fn run_induction_cell(name: &str, samples: usize) -> InductionCell {
     let mut pooled_times = Vec::new();
     let mut agree = true;
     let mut pooled_stats = SessionStats::default();
-    let mut cold_stats = SessionStats::default();
     for _ in 0..samples {
-        let (t, reference, stats) = timed_session(&design, base.clone());
+        let (t, reference, _) = timed_session(&design, base.clone());
         cold_times.push(t);
-        cold_stats = stats;
 
         // Fresh seed per sample; one unmetered run populates it, then the
         // warm runs measure the repeat-traffic case.
@@ -143,7 +137,6 @@ fn run_induction_cell(name: &str, samples: usize) -> InductionCell {
         cold: median(&mut cold_times),
         seed_only: median(&mut seed_times),
         pooled: median(&mut pooled_times),
-        cold_stats,
         stats: pooled_stats,
         agree,
     }
@@ -276,7 +269,7 @@ fn main() {
         .map(|n| run_service_cell(n, repeats, samples))
         .collect();
 
-    println!("E13: cube-and-conquer + clause pool — cold vs pooled\n");
+    println!("E13: clause pool — cold vs pooled\n");
     let mut divergent = false;
     let mut total_pool_hits = 0u64;
     let mut json_rows = Vec::new();
@@ -288,8 +281,6 @@ fn main() {
         "pooled",
         "speedup",
         "pool gain",
-        "splits",
-        "cubes",
         "imported",
         "hits",
         "verdicts",
@@ -308,8 +299,6 @@ fn main() {
             ms(c.pooled),
             format!("{speedup:.2}x"),
             format!("{pool_gain:.2}x"),
-            c.cold_stats.cube_splits.to_string(),
-            c.cold_stats.cubes_raced.to_string(),
             c.stats.pool_clauses_imported.to_string(),
             c.stats.pool_hits.to_string(),
             if c.agree { "identical".to_string() } else { "DIVERGED".to_string() },
@@ -317,20 +306,17 @@ fn main() {
         json_rows.push(format!(
             "    {{\"section\": \"induction\", \"design\": \"{}\", \"cold_ms\": {:.3}, \
              \"seed_only_ms\": {:.3}, \"pooled_ms\": {:.3}, \"speedup\": {speedup:.3}, \
-             \"pool_gain\": {pool_gain:.3}, \"cube_splits\": {}, \"cubes_raced\": {}, \
-             \"pool_imported\": {}, \"pool_hits\": {}, \"verdicts_identical\": {}}}",
+             \"pool_gain\": {pool_gain:.3}, \"pool_imported\": {}, \"pool_hits\": {}, \"verdicts_identical\": {}}}",
             c.design,
             c.cold.as_secs_f64() * 1e3,
             c.seed_only.as_secs_f64() * 1e3,
             c.pooled.as_secs_f64() * 1e3,
-            c.cold_stats.cube_splits,
-            c.cold_stats.cubes_raced,
             c.stats.pool_clauses_imported,
             c.stats.pool_hits,
             c.agree,
         ));
     }
-    println!("induction (unaided, max_k={DEEP_K}, cube_depth=2):");
+    println!("induction (unaided, max_k={DEEP_K}, probe=256):");
     println!("{}", table.render());
     let induction_geomean = geomean(&induction_speedups);
     println!("induction geomean (cold/pooled): {induction_geomean:.2}x\n");
@@ -401,7 +387,7 @@ fn main() {
     println!("wrote {path}");
 
     if divergent {
-        eprintln!("FAIL: pooled or cubed verdicts diverged from the cold reference");
+        eprintln!("FAIL: seeded or pooled verdicts diverged from the cold reference");
         std::process::exit(1);
     }
     if total_pool_hits == 0 {

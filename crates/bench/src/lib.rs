@@ -17,8 +17,9 @@
 //! | `e10_template_unroll` | E10 | template-stamped vs DAG-walk frame encoding |
 //! | `e11_service` | E11 | warm session-cached vs cold verification service |
 //! | `e12_opt` | E12 | prepare-time netlist optimization vs `OptLevel::None` |
-//! | `e13_cube` | E13 | cube-and-conquer + clause pool on hard queries |
+//! | `e13_cube` | E13 | clause pool on hard queries |
 //! | `e14_obs` | E14 | observability overhead gate (Off vs Full tracing) |
+//! | `e15_satsweep` | E15 | `OptLevel::SatSweep` vs `OptLevel::Full` CNF size and flow cost |
 //!
 //! The `trace` binary is not an experiment: it runs one design/flow with
 //! full tracing and writes a Perfetto-loadable `trace.json` plus a

@@ -76,16 +76,11 @@ pub fn render_solver_reuse(report: &FlowReport) -> String {
         s.selectors_retired,
         s.conflicts,
     );
-    if s.cube_splits + s.pool_clauses_imported + s.pool_clauses_exported + s.pool_hits > 0 {
+    if s.pool_clauses_imported + s.pool_clauses_exported + s.pool_hits > 0 {
         let _ = writeln!(
             out,
-            "pool    : cube_splits={} cubes={} imported={} exported={} hits={} evictions={}",
-            s.cube_splits,
-            s.cubes_raced,
-            s.pool_clauses_imported,
-            s.pool_clauses_exported,
-            s.pool_hits,
-            s.pool_evictions,
+            "pool    : imported={} exported={} hits={} evictions={}",
+            s.pool_clauses_imported, s.pool_clauses_exported, s.pool_hits, s.pool_evictions,
         );
     }
     out

@@ -85,6 +85,44 @@ fn portfolio_prove_matches_single_solver_on_corpus() {
     assert!(targets_checked >= 10, "the corpus should contribute real targets");
 }
 
+/// The step-hard designs of the `e0_ledger` `deep_induction` workload,
+/// proved at `max_k` 12 under that workload's portfolio: every hard step
+/// query outlasts the 256-conflict probe and is raced whole. The retained
+/// `cube_depth: 2` must change nothing.
+#[test]
+fn deep_portfolio_prove_matches_single_solver() {
+    const STEP_HARD: [&str; 7] = [
+        "sync_counters",
+        "sync_counters_16",
+        "offset_counters",
+        "twin_shift",
+        "ecc_counter",
+        "fifo_counters",
+        "credit_flow",
+    ];
+    let portfolio = PortfolioConfig {
+        probe_conflicts: Some(256),
+        cube_depth: 2,
+        workers: 2,
+        ..PortfolioConfig::default()
+    };
+    let raced_cfg = CheckConfig { max_k: 12, portfolio: Some(portfolio), ..Default::default() };
+    let single_cfg = CheckConfig { max_k: 12, ..Default::default() };
+    let mut races = 0;
+    for name in STEP_HARD {
+        let design = genfv_designs::by_name(name).expect("exists").prepare().expect("prepares");
+        let mut raced = ProofSession::new(&design.ctx, &design.ts, raced_cfg.clone());
+        let mut single = ProofSession::new(&design.ctx, &design.ts, single_cfg.clone());
+        for target in &design.targets {
+            let p = raced.prove(&target.prop);
+            let s = single.prove(&target.prop);
+            assert_prove_eq(&p, &s, &format!("{name}::{}", target.name));
+        }
+        races += raced.stats().portfolio_races;
+    }
+    assert!(races > 0, "the deep designs must blow the probe somewhere");
+}
+
 /// BMC over the same split: identical clean depths and violation cycles.
 #[test]
 fn portfolio_bmc_matches_single_solver_on_corpus() {

@@ -298,11 +298,13 @@ pub struct SessionStats {
     pub selectors_created: u64,
     /// Selectors permanently deactivated.
     pub selectors_retired: u64,
-    /// Conflicts of the most recent query.
+    /// Conflicts of the most recent query (the race winner's alone when
+    /// the query was raced).
     pub last_query_conflicts: u64,
     /// Assumption-core size of the most recent UNSAT answer.
     pub last_core_size: u64,
-    /// Total conflicts across all queries.
+    /// Total conflicts across all queries, every portfolio worker's
+    /// included.
     pub conflicts: u64,
     /// Total decisions across all queries.
     pub decisions: u64,
@@ -318,10 +320,11 @@ pub struct SessionStats {
     /// Sessions that stamped from a seed's already-built template instead
     /// of blasting their own.
     pub templates_reused: u64,
-    /// Queries answered by cube-and-conquer (the portfolio split the
-    /// search space instead of racing configurations).
+    /// Always 0 since cube-and-conquer was removed; kept because
+    /// `e0_ledger` reads it; delete with the next benchmark change.
     pub cube_splits: u64,
-    /// Total cubes conquered across all cube-split queries.
+    /// Always 0 since cube-and-conquer was removed; kept because
+    /// `e0_ledger` reads it; delete with the next benchmark change.
     pub cubes_raced: u64,
     /// Learnt clauses replayed from the seed's clause pool into this
     /// session's solvers.
@@ -352,8 +355,6 @@ genfv_obs::impl_accumulate!(SessionStats {
         portfolio_glue_shared,
         clean_seed_hits,
         templates_reused,
-        cube_splits,
-        cubes_raced,
         pool_clauses_imported,
         pool_clauses_exported,
         pool_hits,
@@ -736,7 +737,7 @@ impl<'c> ProofSession<'c> {
             let g = self.un(dir).frame_guard(frame).expect("session unroller is guarded");
             assumptions.push(g);
         }
-        let result = match self.config.portfolio.clone() {
+        let (result, conflicts_spent) = match self.config.portfolio.clone() {
             Some(pcfg) => {
                 // Portfolio-backed query: the direction's loaded solver is
                 // cloned across jittered worker configurations and the
@@ -751,16 +752,14 @@ impl<'c> ProofSession<'c> {
                     self.stats.portfolio_races += 1;
                     self.stats.portfolio_glue_shared += out.glue_imported as u64;
                 }
-                if out.cubes_raced > 0 {
-                    self.stats.cube_splits += 1;
-                    self.stats.cubes_raced += out.cubes_raced as u64;
-                }
                 self.last_effort = QueryEffort {
                     conflicts: out.winner.conflicts,
                     decisions: out.winner.decisions,
                     propagations: out.winner.propagations,
                 };
-                out.result
+                // The session pays for every worker's search, not only
+                // the winner's.
+                (out.result, out.conflicts_total)
             }
             None => {
                 if let Some(b) = self.config.conflict_budget {
@@ -768,7 +767,7 @@ impl<'c> ProofSession<'c> {
                 }
                 let result = self.un(dir).blaster_mut().solve_with_assumptions(&assumptions);
                 self.last_effort = self.un(dir).blaster().solver().stats().last_effort();
-                result
+                (result, self.last_effort.conflicts)
             }
         };
         if let Some((seed, tag, mark)) = pool_ctx {
@@ -791,7 +790,7 @@ impl<'c> ProofSession<'c> {
         }
         self.stats.clauses_retained = clauses as u64;
         self.stats.last_query_conflicts = last.conflicts;
-        self.stats.conflicts += last.conflicts;
+        self.stats.conflicts += conflicts_spent;
         self.stats.decisions += last.decisions;
         self.stats.propagations += last.propagations;
         if result.is_unsat() {
@@ -1238,6 +1237,48 @@ mod tests {
             other => panic!("expected falsification from both: {other:?}"),
         }
         assert_eq!(raced.stats().bitblasts, 1, "racing must not re-bit-blast");
+    }
+
+    /// Pigeonhole as a constraint: seven 3-bit inputs, each below 6 and
+    /// pairwise distinct, so every frame is UNSAT after real search.
+    fn pigeonhole(ctx: &mut Context) -> TransitionSystem {
+        let holes = ctx.constant(6, 3);
+        let mut ts = TransitionSystem::new("pigeonhole");
+        let pigeons: Vec<ExprRef> = (0..7).map(|i| ctx.symbol(&format!("p{i}"), 3)).collect();
+        for (i, &p) in pigeons.iter().enumerate() {
+            ts.add_input(p);
+            let fits = ctx.ult(p, holes);
+            ts.add_constraint(fits);
+            for &q in &pigeons[i + 1..] {
+                let apart = ctx.ne(p, q);
+                ts.add_constraint(apart);
+            }
+        }
+        ts
+    }
+
+    #[test]
+    fn raced_queries_charge_every_workers_conflicts() {
+        let mut ctx = Context::new();
+        let ts = pigeonhole(&mut ctx);
+        let obs = genfv_obs::Obs::new(genfv_obs::ObsConfig::Deterministic);
+        let portfolio = genfv_portfolio::PortfolioConfig {
+            workers: 3,
+            probe_conflicts: Some(1),
+            epoch_start: 64,
+            ..Default::default()
+        };
+        let config =
+            CheckConfig { portfolio: Some(portfolio), obs: obs.clone(), ..CheckConfig::default() };
+        let mut s = ProofSession::new(&ctx, &ts, config);
+        assert!(s.solve_under(false, 0, &[]).is_unsat());
+        let stats = *s.stats();
+        assert_eq!(stats.portfolio_races, 1, "a one-conflict probe must race");
+        // The solver hook records every solve call: the probe and each
+        // worker's epochs.
+        let workers = obs.metrics().expect("obs enabled").counter(genfv_obs::Counter::Conflicts);
+        assert!(stats.conflicts >= workers, "{} < {workers}", stats.conflicts);
+        assert!(stats.last_query_conflicts < stats.conflicts, "winner alone is not the total");
     }
 
     #[test]

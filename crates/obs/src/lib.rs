@@ -20,10 +20,10 @@
 //! └─ flow.<kind>           (flow1 / flow2 / baseline / combined)
 //!    └─ prove              (one span per target property)
 //!       └─ session.extend.{base,step}   (frame unrolls)
+//!       └─ portfolio.probe → solve.probe
 //!       └─ portfolio.race
-//!          └─ portfolio.probe
-//!          └─ portfolio.epoch | portfolio.cubes → solve.cube
-//!       └─ solve.{base,step,probe,cube}  (individual solver calls)
+//!          └─ portfolio.epoch | portfolio.wall_clock → solve.{base,step}
+//!       └─ solve.{base,step}  (individual solver calls)
 //! ```
 //!
 //! Traces export through the [`TraceSink`] trait: an in-memory
@@ -34,8 +34,8 @@
 //! ## Metrics
 //!
 //! Monotonic [`Counter`]s plus log₂-bucketed latency/effort
-//! [`AtomicHistogram`]s keyed by [`QueryKind`] (base / step / probe /
-//! cube), fed by the solver's per-solve profiling hook (conflict /
+//! [`AtomicHistogram`]s keyed by [`QueryKind`] (base / step / probe),
+//! fed by the solver's per-solve profiling hook (conflict /
 //! decision / propagation deltas, learnt-DB size, template-load sizes).
 //! Snapshots ([`MetricsSnapshot`]) render in Prometheus text exposition
 //! format via [`prom_counter`] / [`prom_histogram`].

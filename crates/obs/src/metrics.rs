@@ -17,14 +17,11 @@ pub enum QueryKind {
     Step,
     /// A portfolio probe (budgeted solo attempt before racing).
     Probe,
-    /// A cube-and-conquer cube solve.
-    Cube,
 }
 
 impl QueryKind {
     /// All kinds, in label order.
-    pub const ALL: [QueryKind; 4] =
-        [QueryKind::Base, QueryKind::Step, QueryKind::Probe, QueryKind::Cube];
+    pub const ALL: [QueryKind; 3] = [QueryKind::Base, QueryKind::Step, QueryKind::Probe];
 
     /// Prometheus label value.
     pub fn label(self) -> &'static str {
@@ -32,7 +29,6 @@ impl QueryKind {
             QueryKind::Base => "base",
             QueryKind::Step => "step",
             QueryKind::Probe => "probe",
-            QueryKind::Cube => "cube",
         }
     }
 
@@ -42,7 +38,6 @@ impl QueryKind {
             QueryKind::Base => "solve.base",
             QueryKind::Step => "solve.step",
             QueryKind::Probe => "solve.probe",
-            QueryKind::Cube => "solve.cube",
         }
     }
 
@@ -51,7 +46,6 @@ impl QueryKind {
             QueryKind::Base => 0,
             QueryKind::Step => 1,
             QueryKind::Probe => 2,
-            QueryKind::Cube => 3,
         }
     }
 }
@@ -73,8 +67,6 @@ pub enum Counter {
     TemplateClauses,
     /// Portfolio races escalated past the probe.
     Races,
-    /// Cube-and-conquer splits taken.
-    CubeSplits,
     /// SAT-sweep equivalence queries issued (proved + refuted + budgeted).
     SweepPairs,
     /// SAT-sweep nodes merged into a class representative.
@@ -83,7 +75,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in exposition order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 9] = [
         Counter::Solves,
         Counter::Conflicts,
         Counter::Decisions,
@@ -91,7 +83,6 @@ impl Counter {
         Counter::TemplateLoads,
         Counter::TemplateClauses,
         Counter::Races,
-        Counter::CubeSplits,
         Counter::SweepPairs,
         Counter::SweepMerges,
     ];
@@ -106,7 +97,6 @@ impl Counter {
             Counter::TemplateLoads => "template_loads",
             Counter::TemplateClauses => "template_clauses",
             Counter::Races => "portfolio_races",
-            Counter::CubeSplits => "cube_splits",
             Counter::SweepPairs => "satsweep_pairs",
             Counter::SweepMerges => "satsweep_merges",
         }
@@ -121,9 +111,8 @@ impl Counter {
             Counter::TemplateLoads => 4,
             Counter::TemplateClauses => 5,
             Counter::Races => 6,
-            Counter::CubeSplits => 7,
-            Counter::SweepPairs => 8,
-            Counter::SweepMerges => 9,
+            Counter::SweepPairs => 7,
+            Counter::SweepMerges => 8,
         }
     }
 }

@@ -6,11 +6,11 @@
 //! under slightly different heuristics shows 5-10× conflict swings on
 //! parity-style obligations. This crate turns that variance from a tax
 //! into an asset: a [`Portfolio`] clones a loaded [`genfv_sat::Solver`]
-//! (a flat memcpy of the clause arena — no re-encoding) across N worker
-//! threads, gives each clone a deterministically-jittered
+//! (a flat memcpy of the clause arena — no re-encoding) into N workers,
+//! gives each clone a deterministically-jittered
 //! [`genfv_sat::SolverConfig`] (`var_decay`, `restart_base`, restart
 //! policy, phase jitter — see [`worker_config`]), races them on the same
-//! assumption query, and keeps the first winner.
+//! assumption query, and keeps the first worker to finish.
 //!
 //! ## Soundness of the clause-database clone
 //!
@@ -33,27 +33,29 @@
 //!   single solver; only queries that blow the budget — exactly the
 //!   variance-prone tail the portfolio exists for — are raced.
 //! * **Deterministic epochs** ([`PortfolioConfig::deterministic`] =
-//!   `true`, the default): workers run in lock-step conflict-budget
-//!   epochs that grow geometrically. Threads still run in parallel, but
-//!   the winner is chosen by a pure function of the workers' results
-//!   (fewest conflicts, ties to the lowest index), so fixed seeds give
-//!   bit-reproducible winner statistics — and a reproducible solver state
-//!   for every query that follows.
-//! * **Wall-clock race** (`deterministic = false`): every worker gets the
-//!   full budget at once and the first verdict over the first-winner
-//!   channel cancels the rest through a shared interrupt flag
-//!   ([`genfv_sat::Solver::set_interrupt`]). Lowest latency, but the
-//!   winner's identity (and therefore its statistics) depends on OS
-//!   scheduling.
+//!   `true`, the default): the workers run one after another on the
+//!   caller's thread, each for one conflict-budget epoch at a time, and
+//!   the budget grows geometrically between epochs. Each epoch visits the
+//!   workers in order of least conflicts spent so far (ties to the lowest
+//!   index), and the first worker to reach a verdict wins. No thread is
+//!   spawned, so fixed seeds give bit-reproducible winner statistics — and
+//!   a reproducible solver state for every query that follows.
+//! * **Wall-clock race** (`deterministic = false`): one thread per
+//!   worker, each with the full budget at once; the first verdict over
+//!   the first-winner channel cancels the rest through a shared interrupt
+//!   flag ([`genfv_sat::Solver::set_interrupt`]). Lowest latency on idle
+//!   cores, but the winner's identity (and therefore its statistics)
+//!   depends on OS scheduling.
 //!
 //! ## Picking worker counts
 //!
 //! Workers multiply CPU use for the raced queries only. 3-4 workers
 //! capture most of the variance win (the jitter table cycles through the
 //! highest-leverage knobs first); beyond ~6 the marginal worker mostly
-//! duplicates an existing configuration's behaviour. When the portfolio
-//! runs inside an already-parallel stage (e.g. the sharded candidate
-//! validator), keep `workers × shards` within the machine's core count.
+//! duplicates an existing configuration's behaviour. The deterministic
+//! ladder never adds a thread. When a wall-clock portfolio runs inside an
+//! already-parallel stage (e.g. the sharded candidate validator), keep
+//! `workers × shards` within the machine's core count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -45,17 +45,9 @@ pub struct PortfolioConfig {
     /// self-correcting adaptation that converges on the right
     /// configuration per design after a single race.
     pub adopt_winner: bool,
-    /// Cube-and-conquer: when a query survives the probe, split its
-    /// search space into `2^cube_depth` sign cubes over lookahead-scored
-    /// high-activity variables ([`genfv_sat::cube::split`]) and conquer
-    /// the cubes on the lock-step ladder instead of racing configuration
-    /// jitter. Any SAT cube wins; all cubes UNSAT proves, with the
-    /// per-cube assumption cores merged. `0` (default) disables cubing;
-    /// cube scheduling needs [`PortfolioConfig::deterministic`] (the
-    /// wall-clock discipline falls back to configuration racing).
+    /// Ignored since cube-and-conquer was removed; kept because `e0_ledger`
+    /// sets it; delete with the next benchmark change.
     pub cube_depth: u32,
-    /// High-activity candidate variables lookahead-scored per split.
-    pub cube_candidates: usize,
 }
 
 impl Default for PortfolioConfig {
@@ -75,7 +67,6 @@ impl Default for PortfolioConfig {
             glue_import_limit: 512,
             adopt_winner: false,
             cube_depth: 0,
-            cube_candidates: 16,
         }
     }
 }
@@ -128,7 +119,7 @@ pub struct WorkerStats {
 }
 
 /// What one [`Portfolio::race`] call did and found.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RaceOutcome {
     /// The verdict (identical to what any single worker would conclude;
     /// `Unknown` only when the caller's conflict budget expired on every
@@ -150,9 +141,6 @@ pub struct RaceOutcome {
     /// Conflicts spent across all workers (probe included) — the total
     /// CPU price paid for the query.
     pub conflicts_total: u64,
-    /// Cubes conquered by cube-and-conquer scheduling (0 when the query
-    /// was probe-settled or raced by configuration jitter).
-    pub cubes_raced: usize,
 }
 
 fn baseline(s: &Solver) -> QueryEffort {
@@ -222,7 +210,6 @@ impl Portfolio {
                 finishers: usize::from(result != SolveResult::Unknown),
                 glue_imported: 0,
                 conflicts_total: winner.conflicts,
-                cubes_raced: 0,
             };
         }
 
@@ -246,27 +233,12 @@ impl Portfolio {
                     finishers: usize::from(result != SolveResult::Unknown),
                     glue_imported: 0,
                     conflicts_total: spent.conflicts,
-                    cubes_raced: 0,
                 };
             }
         }
 
         let _race_span = obs.span("portfolio.race");
         obs.add(Counter::Races, 1);
-
-        // --- cube-and-conquer: split the search space itself --------------
-        if self.config.cube_depth > 0 && self.config.deterministic {
-            if let Some(cubes) = genfv_sat::cube::split(
-                solver,
-                assumptions,
-                self.config.cube_depth,
-                self.config.cube_candidates,
-            ) {
-                let outcome = self.race_cubes(solver, assumptions, budget, &cubes, base0, &obs);
-                solver.set_query_kind(session_kind);
-                return outcome;
-            }
-        }
 
         // --- clone the loaded clause database across the pool ------------
         let base_config = solver.config().clone();
@@ -327,150 +299,6 @@ impl Portfolio {
             finishers,
             glue_imported,
             conflicts_total,
-            cubes_raced: 0,
-        }
-    }
-
-    /// Cube-and-conquer on the lock-step ladder: one worker clone per
-    /// cube (cyclically jittered like configuration racing), each
-    /// conquering its cube — the query's assumptions plus the cube's
-    /// fixed sign assignments. The first SAT cube wins outright (the
-    /// cubes partition the search space, so its model satisfies the
-    /// original query) and its solver replaces the parent; when *every*
-    /// cube is refuted the query is UNSAT, the parent survives with all
-    /// cube workers' glue imported, and the per-cube assumption cores —
-    /// restricted to the original assumptions — are merged into the core
-    /// the caller reads. (Restriction is sound: any assignment satisfying
-    /// the merged core lies in exactly one cube `j` and would satisfy
-    /// cube `j`'s full core, which is refuted.) Everything runs on the
-    /// deterministic epoch ladder, so cube conquest reproduces bit for
-    /// bit like configuration racing.
-    fn race_cubes(
-        &self,
-        solver: &mut Solver,
-        assumptions: &[Lit],
-        budget: Option<u64>,
-        cubes: &[Vec<Lit>],
-        base0: QueryEffort,
-        obs: &Obs,
-    ) -> RaceOutcome {
-        let _cubes_span = obs.span_with("portfolio.cubes", || format!("cubes={}", cubes.len()));
-        obs.add(Counter::CubeSplits, cubes.len() as u64);
-        let base_config = solver.config().clone();
-        let mark = solver.clause_db_mark();
-        let parent = std::mem::take(solver);
-        let n = cubes.len();
-        let mut pool: Vec<Solver> = (0..n)
-            .map(|i| {
-                let mut worker =
-                    parent.clone_with_config(worker_config(&base_config, self.config.seed, i));
-                worker.set_query_kind(QueryKind::Cube);
-                worker
-            })
-            .collect();
-        let baselines: Vec<QueryEffort> = pool.iter().map(baseline).collect();
-        let extended: Vec<Vec<Lit>> = cubes
-            .iter()
-            .map(|cube| assumptions.iter().chain(cube.iter()).copied().collect())
-            .collect();
-
-        let mut merged_core: Vec<Lit> = Vec::new();
-        let mut refuted = vec![false; n];
-        let mut epoch_budget = self.config.epoch_start.max(1);
-        let mut epochs = 0u64;
-        let mut sat_cube: Option<usize> = None;
-        let result = 'race: loop {
-            epochs += 1;
-            let _epoch_span = obs.span_with("portfolio.epoch", || format!("budget={epoch_budget}"));
-            let mut order: Vec<usize> = (0..n).filter(|&i| !refuted[i]).collect();
-            if order.is_empty() {
-                break SolveResult::Unsat;
-            }
-            order.sort_by_key(|&i| (spent_since(&pool[i], baselines[i]).conflicts, i));
-            let mut any_ran = false;
-            for &i in &order {
-                let remaining = match budget {
-                    Some(total) => {
-                        total.saturating_sub(spent_since(&pool[i], baselines[i]).conflicts)
-                    }
-                    None => u64::MAX,
-                };
-                if remaining == 0 {
-                    continue;
-                }
-                any_ran = true;
-                pool[i].set_conflict_budget(epoch_budget.min(remaining));
-                match pool[i].solve_with_assumptions(&extended[i]) {
-                    SolveResult::Sat => {
-                        sat_cube = Some(i);
-                        break 'race SolveResult::Sat;
-                    }
-                    SolveResult::Unsat => {
-                        refuted[i] = true;
-                        for &l in pool[i].last_core() {
-                            if assumptions.contains(&l) && !merged_core.contains(&l) {
-                                merged_core.push(l);
-                            }
-                        }
-                    }
-                    SolveResult::Unknown => {}
-                }
-            }
-            if !any_ran {
-                break SolveResult::Unknown;
-            }
-            epoch_budget = epoch_budget.saturating_mul(self.config.epoch_growth.max(2));
-        };
-
-        let finishers = refuted.iter().filter(|&&r| r).count() + usize::from(sat_cube.is_some());
-        let probe_spent = spent_since(&parent, base0);
-        let conflicts_total: u64 = probe_spent.conflicts
-            + pool.iter().zip(&baselines).map(|(s, &b)| spent_since(s, b).conflicts).sum::<u64>();
-
-        // The survivor: the SAT cube's solver (model readable), or the
-        // parent on UNSAT/Unknown. Either way it absorbs the other
-        // workers' fresh glue — clauses learnt under cube assumptions are
-        // consequences of the shared formula, cube-independent.
-        let (mut survivor, mut winner) = match sat_cube {
-            Some(i) => {
-                let mut w = spent_since(&pool[i], baselines[i]);
-                w.worker = i;
-                (pool.swap_remove(i), w)
-            }
-            None => (parent, probe_spent),
-        };
-        if sat_cube.is_none() {
-            winner.worker = 0;
-        }
-        let mut glue_imported = 0usize;
-        if self.config.share_glue {
-            let mut glue: Vec<Vec<Lit>> = Vec::new();
-            for s in &pool {
-                let room = self.config.glue_import_limit.saturating_sub(glue.len());
-                if room == 0 {
-                    break;
-                }
-                glue.extend(s.export_glue_since(mark, self.config.glue_lbd_max, room));
-            }
-            for clause in &glue {
-                survivor.import_learnt(clause);
-                glue_imported += 1;
-            }
-        }
-        survivor.reconfigure(base_config);
-        *solver = survivor;
-        if result == SolveResult::Unsat {
-            solver.set_last_core(merged_core);
-        }
-        RaceOutcome {
-            result,
-            raced: true,
-            winner,
-            epochs,
-            finishers,
-            glue_imported,
-            conflicts_total,
-            cubes_raced: n,
         }
     }
 
@@ -769,100 +597,29 @@ mod tests {
         assert_eq!(b, worker_config(&base, 42, 1), "pure function of (seed, worker)");
     }
 
-    fn cube_config() -> PortfolioConfig {
-        PortfolioConfig { cube_depth: 2, cube_candidates: 16, ..race_config() }
-    }
-
-    #[test]
-    fn cube_race_reaches_the_single_solver_unsat_verdict() {
-        let mut single = Solver::new();
-        pigeonhole(&mut single, 7);
-        let mut raced = single.clone();
-        assert!(single.solve().is_unsat());
-        let out = Portfolio::new(cube_config()).race(&mut raced, &[], None);
-        assert_eq!(out.result, SolveResult::Unsat);
-        assert!(out.raced);
-        assert_eq!(out.cubes_raced, 4, "depth 2 splits into 2^2 cubes");
-        // The parent survives an all-UNSAT conquest and stays usable.
-        assert!(raced.solve().is_unsat());
-    }
-
-    #[test]
-    fn cube_race_sat_leaves_a_readable_model() {
-        let mut s = Solver::new();
-        let vars: Vec<Lit> = (0..64).map(|_| Lit::pos(s.new_var())).collect();
-        for w in vars.windows(2) {
-            s.add_clause([w[0], w[1]]);
-            s.add_clause([!w[0], !w[1]]);
-        }
-        let cfg = PortfolioConfig { probe_conflicts: None, ..cube_config() };
-        let out = Portfolio::new(cfg).race(&mut s, &[], None);
-        assert_eq!(out.result, SolveResult::Sat);
-        assert!(out.cubes_raced > 0, "an unprobed hard-looking query must cube");
-        let m: Vec<bool> = vars.iter().map(|&l| s.value(l).expect("assigned")).collect();
-        for w in m.windows(2) {
-            assert_ne!(w[0], w[1], "model must satisfy the alternation chain");
-        }
-    }
-
-    #[test]
-    fn cube_race_merges_assumption_cores() {
-        let mut s = Solver::new();
-        let a = Lit::pos(s.new_var());
-        let b = Lit::pos(s.new_var());
-        let c = Lit::pos(s.new_var());
-        s.add_clause([!a, c]);
-        s.add_clause([!b, !c]);
-        pigeonhole(&mut s, 6); // padding so the race actually cubes
-        let cfg = PortfolioConfig { probe_conflicts: None, ..cube_config() };
-        let out = Portfolio::new(cfg).race(&mut s, &[a, b], None);
-        assert_eq!(out.result, SolveResult::Unsat);
-        let core = s.last_core();
-        assert!(!core.is_empty(), "merged core must not be empty");
-        assert!(
-            core.iter().all(|l| *l == a || *l == b),
-            "merged core only mentions the original assumptions: {core:?}"
-        );
-    }
-
-    #[test]
-    fn cube_race_is_deterministic() {
-        let run = || {
-            let mut s = Solver::new();
-            pigeonhole(&mut s, 7);
-            let out = Portfolio::new(cube_config()).race(&mut s, &[], None);
-            (
-                out.result,
-                out.winner,
-                out.epochs,
-                out.finishers,
-                out.glue_imported,
-                out.conflicts_total,
-                out.cubes_raced,
-                s.stats().conflicts,
-            )
-        };
-        assert_eq!(run(), run(), "fixed seeds must give bit-identical cube races");
-    }
-
     #[test]
     fn wall_clock_mode_ignores_cube_depth() {
         let mut s = Solver::new();
         pigeonhole(&mut s, 7);
-        let cfg = PortfolioConfig { deterministic: false, ..cube_config() };
+        let cfg = PortfolioConfig { deterministic: false, cube_depth: 2, ..race_config() };
         let out = Portfolio::new(cfg).race(&mut s, &[], None);
         assert_eq!(out.result, SolveResult::Unsat);
-        assert_eq!(out.cubes_raced, 0, "cube scheduling requires the deterministic ladder");
+        assert!(out.raced && out.finishers >= 1);
     }
 
     #[test]
-    fn cube_race_budget_exhaustion_reports_unknown() {
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 9);
-        let cfg = PortfolioConfig { probe_conflicts: Some(4), epoch_start: 4, ..cube_config() };
-        let out = Portfolio::new(cfg).race(&mut s, &[], Some(16));
-        assert_eq!(out.result, SolveResult::Unknown, "16 conflicts cannot refute PHP(9,8)");
-        // The parent is restored and still correct afterwards.
-        assert!(s.solve().is_unsat());
+    fn cube_depth_leaves_races_bit_identical() {
+        let run = |cube_depth| {
+            let mut s = Solver::new();
+            pigeonhole(&mut s, 7);
+            let out = Portfolio::new(PortfolioConfig { cube_depth, ..race_config() }).race(
+                &mut s,
+                &[],
+                None,
+            );
+            assert!(out.raced);
+            (out, *s.stats())
+        };
+        assert_eq!(run(2), run(0), "cube_depth must not change the race");
     }
 }

@@ -16,9 +16,7 @@
 //! * activation-literal helpers ([`ActivationGroup`]) for guarding and
 //!   retracting hypotheses on a long-lived solver without losing learnt
 //!   clauses — the substrate of the model checker's incremental proof
-//!   sessions,
-//! * cube splitting for cube-and-conquer ([`cube::split`]: exhaustive
-//!   sign cubes over lookahead-scored high-activity variables), and
+//!   sessions, and
 //! * a persistent, relocatable learnt-clause pool ([`ClausePool`]) that
 //!   carries low-LBD glue across solvers, queries, and sessions.
 //!
@@ -47,7 +45,6 @@
 
 pub mod assume;
 pub mod clause;
-pub mod cube;
 pub mod dimacs;
 pub mod lit;
 pub mod pool;

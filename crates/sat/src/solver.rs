@@ -920,17 +920,6 @@ impl Solver {
         &self.core
     }
 
-    /// Overwrites the assumption core reported by [`Solver::last_core`].
-    ///
-    /// The cube-and-conquer scheduler proves a query UNSAT by refuting
-    /// every cube and merging the per-cube cores (restricted to the
-    /// original assumptions); the merged core is then installed on the
-    /// surviving solver so callers see the usual core-over-assumptions
-    /// contract.
-    pub fn set_last_core(&mut self, core: Vec<Lit>) {
-        self.core = core;
-    }
-
     /// Running FNV-1a hash over the problem clauses added so far (clauses
     /// in canonical order, folded before level-0 simplification, plus a
     /// summary per loaded template block). Together with
@@ -940,69 +929,6 @@ impl Solver {
     /// by one are sound in the other.
     pub fn problem_hash(&self) -> u64 {
         self.problem_hash
-    }
-
-    /// The VSIDS activity of a variable (for cube-variable selection).
-    pub fn activity(&self, v: Var) -> f64 {
-        self.activity[v.index()]
-    }
-
-    /// Whether `v` is currently unassigned at decision level 0.
-    pub fn is_unassigned(&self, v: Var) -> bool {
-        self.assigns[v.index()] == LBool::Undef
-    }
-
-    /// Failed-literal probe: pushes a fresh decision level, assumes `lit`,
-    /// and unit-propagates. Returns the number of literals the assumption
-    /// forced (itself included), or `None` if propagation conflicts — a
-    /// failed literal, meaning `!lit` is implied. The trail is restored
-    /// before returning either way; the caller stays at its level.
-    ///
-    /// Used by the cube splitter's lookahead scoring. Must be called with
-    /// no conflicting assignment pending and only on unassigned literals.
-    pub fn probe_lit(&mut self, lit: Lit) -> Option<usize> {
-        debug_assert_eq!(self.lit_value(lit), LBool::Undef);
-        let level = self.decision_level();
-        let mark = self.trail.len();
-        self.new_decision_level();
-        self.unchecked_enqueue(lit, ClauseRef::UNDEF);
-        let conflict = self.propagate().is_some();
-        let forced = self.trail.len() - mark;
-        self.cancel_until(level);
-        if conflict {
-            None
-        } else {
-            Some(forced)
-        }
-    }
-
-    /// Installs `assumptions` as pseudo-decisions (one level each, like
-    /// the solve loop) and propagates. Returns `false` if an assumption
-    /// is falsified or propagation conflicts — the caller must then
-    /// [`Solver::backtrack_to_root`] and fall back to a plain solve.
-    /// On `true`, the solver is left at the elevated level so the cube
-    /// splitter can probe candidate literals *under* the assumptions.
-    pub(crate) fn push_assumptions(&mut self, assumptions: &[Lit]) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        for &p in assumptions {
-            match self.lit_value(p) {
-                LBool::True => self.new_decision_level(),
-                LBool::False => return false,
-                LBool::Undef => {
-                    self.new_decision_level();
-                    self.unchecked_enqueue(p, ClauseRef::UNDEF);
-                    if self.propagate().is_some() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Undoes [`Solver::push_assumptions`] (and any probe levels on top).
-    pub(crate) fn backtrack_to_root(&mut self) {
-        self.cancel_until(0);
     }
 
     // ------------------------------------------------------------------
@@ -1962,34 +1888,6 @@ mod tests {
         a.add_clause([!va[0]]);
         b.add_clause([!vb[1]]);
         assert_ne!(a.problem_hash(), b.problem_hash());
-    }
-
-    #[test]
-    fn probe_lit_counts_propagations_and_detects_failed_literals() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 4);
-        // v0 → v1 → v2, and v3 → ⊥ via (¬v3 ∨ v0)(¬v3 ∨ ¬v0).
-        s.add_clause([!v[0], v[1]]);
-        s.add_clause([!v[1], v[2]]);
-        s.add_clause([!v[3], v[0]]);
-        s.add_clause([!v[3], !v[2]]);
-        assert_eq!(s.probe_lit(v[0]), Some(4), "v0 forces v1, v2, and ¬v3");
-        assert_eq!(s.probe_lit(v[1]), Some(3), "v1 forces v2 and ¬v3");
-        assert_eq!(s.probe_lit(v[3]), None, "v3 is a failed literal");
-        // The trail was fully restored: everything is still free.
-        for &l in &v {
-            assert!(s.is_unassigned(l.var()));
-        }
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn set_last_core_overrides_the_reported_core() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause([v[0], v[1]]);
-        s.set_last_core(vec![v[0]]);
-        assert_eq!(s.last_core(), &[v[0]]);
     }
 
     #[test]

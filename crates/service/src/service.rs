@@ -187,9 +187,6 @@ pub struct ServiceStats {
     /// State registers dropped (stuck-at folding plus cone-of-influence
     /// reduction), summed over cold prepares.
     pub opt_states_dropped: u64,
-    /// Queries answered by cube-and-conquer splitting, summed over
-    /// completed jobs.
-    pub cube_splits: u64,
     /// Learnt clauses replayed from cached clause pools into job
     /// sessions, summed over completed jobs.
     pub pool_clauses_imported: u64,
@@ -233,7 +230,6 @@ impl ServiceStats {
         prom_counter(&mut out, "genfv_templates_reused_total", "", self.templates_reused);
         prom_counter(&mut out, "genfv_opt_nodes_removed_total", "", self.opt_nodes_removed);
         prom_counter(&mut out, "genfv_opt_states_dropped_total", "", self.opt_states_dropped);
-        prom_counter(&mut out, "genfv_cube_splits_total", "", self.cube_splits);
         prom_counter(&mut out, "genfv_pool_clauses_imported_total", "", self.pool_clauses_imported);
         prom_counter(&mut out, "genfv_pool_clauses_exported_total", "", self.pool_clauses_exported);
         prom_counter(&mut out, "genfv_pool_hits_total", "", self.pool_hits);
@@ -258,7 +254,6 @@ struct AtomicStats {
     templates_reused: AtomicU64,
     opt_nodes_removed: AtomicU64,
     opt_states_dropped: AtomicU64,
-    cube_splits: AtomicU64,
     pool_clauses_imported: AtomicU64,
     pool_clauses_exported: AtomicU64,
     pool_hits: AtomicU64,
@@ -286,7 +281,6 @@ genfv_obs::impl_accumulate!(ServiceStats {
         templates_reused,
         opt_nodes_removed,
         opt_states_dropped,
-        cube_splits,
         pool_clauses_imported,
         pool_clauses_exported,
         pool_hits,
@@ -534,7 +528,6 @@ impl VerificationService {
             templates_reused: s.templates_reused.load(Ordering::Relaxed),
             opt_nodes_removed: s.opt_nodes_removed.load(Ordering::Relaxed),
             opt_states_dropped: s.opt_states_dropped.load(Ordering::Relaxed),
-            cube_splits: s.cube_splits.load(Ordering::Relaxed),
             pool_clauses_imported: s.pool_clauses_imported.load(Ordering::Relaxed),
             pool_clauses_exported: s.pool_clauses_exported.load(Ordering::Relaxed),
             pool_hits: s.pool_hits.load(Ordering::Relaxed),
@@ -731,7 +724,6 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
             let solver = &flow_report.metrics.solver;
             shared.stats.clean_seed_hits.fetch_add(solver.clean_seed_hits, Ordering::Relaxed);
             shared.stats.templates_reused.fetch_add(solver.templates_reused, Ordering::Relaxed);
-            shared.stats.cube_splits.fetch_add(solver.cube_splits, Ordering::Relaxed);
             shared
                 .stats
                 .pool_clauses_imported

@@ -9,13 +9,15 @@
 # verification service on repeat traffic, e12 races OptLevel::Full vs
 # OptLevel::None prepares (exits nonzero on any verdict regression or if
 # the datapath designs stop shrinking), e13 races cold vs clause-pooled
-# sessions with cube-and-conquer armed (exits nonzero on any verdict
-# divergence or zero pool hits), e14 races warm service traffic with
+# deep-induction sessions behind a portfolio (exits nonzero on any
+# verdict divergence or zero pool hits), e14 races warm service traffic with
 # tracing Off vs Full (exits nonzero if Full overhead exceeds 5% or the
 # exported Chrome trace fails its schema check), e15 races
 # OptLevel::SatSweep vs OptLevel::Full prepares (exits nonzero on any
 # verdict regression, zero datapath merges, or a busted conflict-budget
-# envelope). Quick-mode JSON goes to
+# envelope). The e0_ledger benchmark is its own Cargo package; its tests
+# (unit tests plus a smoke run of every workload) keep it building
+# against the library crates. Quick-mode JSON goes to
 # target/ so the committed full-run BENCH_*.json files (5-sample medians)
 # are never clobbered by 2-sample gate numbers.
 set -euo pipefail
@@ -25,6 +27,7 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+cargo test --manifest-path e0_ledger/Cargo.toml
 GENFV_BENCH_JSON=target/ci-BENCH_incremental.json \
     cargo run --release -p genfv-bench --bin e8_incremental_sessions -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_portfolio.json \
