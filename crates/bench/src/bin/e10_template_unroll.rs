@@ -10,8 +10,8 @@
 //!   depth) over the whole corpus, finishing each with a window-guarded
 //!   solver call so every stamped clause really propagates. The batch
 //!   size approximates one validation gauntlet's worth of session
-//!   creations — the Flow-2 loop builds a session per shard, per Houdini
-//!   run, and per lemma-installing repair iteration, so per-session
+//!   creations — the Flow-2 loop builds a session per validation batch
+//!   and per lemma-installing repair iteration, so per-session
 //!   encoding cost is paid constantly. This section is where the
 //!   template's one-blast-then-stamp design shows directly.
 //! * **flow** — the complete Flow 2 (validation gauntlet, Houdini,

@@ -1,8 +1,8 @@
 //! **E8 — incremental proof sessions**: the Flow-2 repair loop with
 //! rebuild-per-query engines versus persistent [`ProofSession`]s.
 //!
-//! Both contestants run the complete Flow 2 (validation gauntlet, sharded
-//! parallel validation, Houdini, target proofs, CEX-driven LLM repair) on
+//! Both contestants run the complete Flow 2 (validation gauntlet, Houdini
+//! on the batch's session, target proofs, CEX-driven LLM repair) on
 //! the same designs across all four synthetic model profiles — the
 //! chattier and noisier the model, the more candidates per completion and
 //! the more closely-related solver queries per design, which is exactly

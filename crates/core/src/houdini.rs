@@ -1,4 +1,5 @@
-//! Houdini-style joint inductive filtering.
+//! Houdini-style joint inductive filtering, and the batch validator that
+//! feeds it.
 //!
 //! Individually non-inductive candidates can still be *mutually* inductive
 //! (each one's step case needs the others as hypotheses). The classic
@@ -10,9 +11,12 @@
 //!
 //! ## Incremental architecture
 //!
-//! The whole run — every per-candidate base case and every strengthening
-//! iteration — executes on **one** [`genfv_mc::ProofSession`], i.e. one
-//! bit-blast and one persistent solver:
+//! [`validate_batch`] compiles the whole candidate batch onto **one**
+//! design clone and opens **one** [`genfv_mc::ProofSession`] (one
+//! bit-blast, one persistent solver per direction) on the caller's thread.
+//! Every candidate's BMC sanity check and induction attempt runs there in
+//! input order, and then the Houdini fixpoint over the stragglers runs on
+//! that same session:
 //!
 //! * each candidate's frame-0 hypothesis hangs off a *selector literal*
 //!   (`sel → cand@0`); the iteration assumes the selectors of the alive
@@ -30,19 +34,30 @@
 //!   order converge to the same set — the greatest jointly-inductive
 //!   subset of the base-clean candidates — but the deferred order keeps
 //!   the solver at two frames for the bulk of the sweeps and never pays
-//!   deep unrolling for candidates the fixpoint kills anyway.
+//!   deep unrolling for candidates the fixpoint kills anyway. Inside
+//!   [`validate_batch`] every pool member already passed BMC sanity on
+//!   the session, so these checks are clean-depth cache hits with no
+//!   solve.
 //!
-//! Solver-reuse counters for the run are returned in
+//! Sharing one session is sound: monitor state only reads design signals,
+//! and every outcome is fixed by the logic rather than by solver state
+//! (first violating cycle, least closing `k`, step SAT/UNSAT, and the
+//! unique greatest fixpoint whatever order Houdini drops candidates in).
+//!
+//! [`houdini()`] runs the same fixpoint standalone on a fresh clone and
+//! session; its solver-reuse counters are returned in
 //! [`HoudiniResult::session`].
 
 use crate::design::PreparedDesign;
-use crate::validate::{Candidate, ValidateConfig, ValidationOutcome};
+use crate::validate::{
+    check_on_session, check_with_rebuild, compile_on_clone, validate_candidate, Candidate,
+    ValidateConfig, ValidationOutcome,
+};
 use genfv_ir::ExprRef;
 use genfv_mc::{
     bmc_rebuild, Accumulate, BmcResult, EngineMode, ProofSession, Property, SessionStats, Unroller,
 };
 use genfv_sat::SolveResult;
-use genfv_sva::PropertyCompiler;
 
 /// Result of a Houdini run.
 #[derive(Clone, Debug, Default)]
@@ -66,42 +81,49 @@ pub struct HoudiniResult {
     pub carried: Vec<usize>,
 }
 
+/// Compiled expressions of `compiled`, `None` for compile rejects.
+fn exprs_of(compiled: &[Result<Property, String>]) -> Vec<Option<ExprRef>> {
+    compiled.iter().map(|res| res.as_ref().ok().map(|p| p.ok)).collect()
+}
+
 /// Runs Houdini over `candidates` on a clone of the design.
 ///
 /// `proven_lemmas` are assumed throughout. Candidates that fail to compile
-/// or fail the base case are dropped before the fixpoint loop. The
-/// returned indices refer to the input slice.
+/// or fail the base case are dropped. The returned indices refer to the
+/// input slice.
 pub fn houdini(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
     candidates: &[Candidate],
     config: &ValidateConfig,
 ) -> HoudiniResult {
-    let mut result = HoudiniResult::default();
     if candidates.is_empty() {
-        return result;
+        return HoudiniResult::default();
     }
     if config.engine == EngineMode::RebuildPerQuery {
         return houdini_rebuild(design, proven_lemmas, candidates, config);
     }
-
-    // Compile all candidates on one clone (they may share monitor state).
-    // Compilation must finish before the session exists so monitor state
-    // unrolls with the frames.
-    let mut ctx = design.ctx.clone();
-    let mut ts = design.ts.clone();
-    let mut exprs: Vec<Option<ExprRef>> = Vec::with_capacity(candidates.len());
-    {
-        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
-        for cand in candidates {
-            exprs.push(pc.compile(&cand.assertion).ok().map(|c| c.ok));
-        }
-    }
-
+    let (ctx, ts, compiled) = compile_on_clone(design, candidates);
     // The one bit-blast of this run.
     let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
     session.add_lemmas(proven_lemmas);
+    let mut result = houdini_on_session(&mut session, &exprs_of(&compiled), config.bmc_depth);
+    result.solver_calls = session.stats().solver_calls as usize;
+    result.session = *session.stats();
+    result
+}
 
+/// The Houdini fixpoint on an open session whose design already contains
+/// every compiled candidate. `exprs[i]` is candidate `i`'s invariant, or
+/// `None` to leave it out of the pool; the returned indices refer to
+/// `exprs`. Base cases run to `bmc_depth`. The session and its counters
+/// belong to the caller, so `solver_calls` and `session` stay unset.
+pub(crate) fn houdini_on_session(
+    session: &mut ProofSession<'_>,
+    exprs: &[Option<ExprRef>],
+    bmc_depth: usize,
+) -> HoudiniResult {
+    let mut result = HoudiniResult::default();
     // Work order: the 2-frame step fixpoint runs *first* over every
     // compiled candidate, and the (deeper-unrolling) base cases are only
     // checked for fixpoint survivors; any base drop re-enters the
@@ -111,12 +133,12 @@ pub fn houdini(
     // verdicts are per-candidate — while keeping the solver small during
     // the bulk of the sweeps and skipping bounded-reachability work for
     // candidates that die in the fixpoint anyway.
-    let mut alive: Vec<usize> = (0..candidates.len()).filter(|&i| exprs[i].is_some()).collect();
+    let mut alive: Vec<usize> = (0..exprs.len()).filter(|&i| exprs[i].is_some()).collect();
 
     // Selector-guarded hypotheses at frame 0, batched obligations at
     // frame 1.
-    let mut selectors: Vec<Option<genfv_sat::Lit>> = vec![None; candidates.len()];
-    let mut obligations: Vec<Option<genfv_sat::Lit>> = vec![None; candidates.len()];
+    let mut selectors: Vec<Option<genfv_sat::Lit>> = vec![None; exprs.len()];
+    let mut obligations: Vec<Option<genfv_sat::Lit>> = vec![None; exprs.len()];
     for &i in &alive {
         let e = exprs[i].expect("alive implies compiled");
         let sel = session.new_selector();
@@ -124,7 +146,7 @@ pub fn houdini(
         selectors[i] = Some(sel);
         obligations[i] = Some(session.literal(1, e));
     }
-    let mut base_checked: Vec<bool> = vec![false; candidates.len()];
+    let mut base_checked: Vec<bool> = vec![false; exprs.len()];
 
     'outer: loop {
         result.iterations += 1;
@@ -156,12 +178,12 @@ pub fn houdini(
                 // Now pay for the deferred base cases; any drop re-enters
                 // the fixpoint.
                 if !base_check_survivors(
-                    &mut session,
+                    session,
                     &mut alive,
                     &mut selectors,
                     &mut base_checked,
-                    &exprs,
-                    config.bmc_depth,
+                    exprs,
+                    bmc_depth,
                 ) {
                     break 'outer;
                 }
@@ -220,12 +242,12 @@ pub fn houdini(
                 }
                 if !dropped_any
                     && !base_check_survivors(
-                        &mut session,
+                        session,
                         &mut alive,
                         &mut selectors,
                         &mut base_checked,
-                        &exprs,
-                        config.bmc_depth,
+                        exprs,
+                        bmc_depth,
                     )
                 {
                     // The fixpoint closed through per-candidate queries,
@@ -242,8 +264,6 @@ pub fn houdini(
     // A base-case drop after the last recorded fixpoint can invalidate
     // core members; keep `carried` a subset of the survivors.
     result.carried.retain(|i| result.accepted.contains(i));
-    result.solver_calls = session.stats().solver_calls as usize;
-    result.session = *session.stats();
     result
 }
 
@@ -262,25 +282,15 @@ fn houdini_rebuild(
     config: &ValidateConfig,
 ) -> HoudiniResult {
     let mut result = HoudiniResult::default();
-
-    // Compile all candidates on one clone (they may share monitor state).
-    let mut ctx = design.ctx.clone();
-    let mut ts = design.ts.clone();
-    let mut exprs: Vec<Option<ExprRef>> = Vec::with_capacity(candidates.len());
-    {
-        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
-        for cand in candidates {
-            exprs.push(pc.compile(&cand.assertion).ok().map(|c| c.ok));
-        }
-    }
+    let (ctx, ts, compiled) = compile_on_clone(design, candidates);
+    let exprs = exprs_of(&compiled);
 
     // Base case: a full BMC run (fresh unroller) per candidate.
     let mut alive: Vec<usize> = Vec::new();
-    for (i, expr) in exprs.iter().enumerate() {
-        let Some(e) = expr else { continue };
-        let prop = Property::new(candidates[i].name.clone(), *e);
+    for (i, res) in compiled.iter().enumerate() {
+        let Ok(prop) = res else { continue };
         result.solver_calls += 1;
-        match bmc_rebuild(&ctx, &ts, &prop, proven_lemmas, config.bmc_depth, &config.check) {
+        match bmc_rebuild(&ctx, &ts, prop, proven_lemmas, config.bmc_depth, &config.check) {
             BmcResult::Clean { .. } => alive.push(i),
             BmcResult::Falsified { .. } => {}
         }
@@ -402,13 +412,23 @@ pub fn validate_batch(
     (accepted, outcomes)
 }
 
-/// [`validate_batch`] plus the aggregated solver-reuse statistics of every
-/// session involved (the sharded individual-validation sessions and the
-/// Houdini session).
+/// [`validate_batch`] plus the solver-reuse statistics of the batch.
 ///
-/// The individual phase runs on [`crate::parallel::validate_parallel_with_stats`]:
-/// one design clone, one bit-blast, and one persistent solver **per worker
-/// shard** instead of per candidate and per check.
+/// Every candidate is compiled onto one design clone, and one
+/// [`ProofSession`] with `proven_lemmas` installed answers each
+/// candidate's BMC sanity check and induction attempt, in input order, on
+/// the caller's thread (the clone, the compile and these checks sit
+/// inside a `flow.validate` span). When
+/// `use_houdini` is set and some candidates were parked, the Houdini
+/// fixpoint then runs on that same session (inside a `flow.houdini`
+/// span), so the whole batch costs one bit-blast.
+///
+/// The two reference modes run the same stages without the shared
+/// session: [`EngineMode::RebuildPerQuery`] checks every candidate with
+/// fresh engines, and `CheckConfig::simple_path` validates each candidate
+/// on its own clone, because its distinct-state constraints quantify over
+/// every register, other candidates' monitors included. Both then run
+/// standalone [`houdini()`].
 pub fn validate_batch_with_stats(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -416,42 +436,74 @@ pub fn validate_batch_with_stats(
     config: &ValidateConfig,
     use_houdini: bool,
 ) -> (Vec<usize>, Vec<ValidationOutcome>, SessionStats) {
-    let (outcomes, mut stats) =
-        crate::parallel::validate_parallel_with_stats(design, proven_lemmas, candidates, config);
-    let mut accepted = Vec::new();
-    let mut parked: Vec<usize> = Vec::new();
-    for (i, out) in outcomes.iter().enumerate() {
-        if out.is_proven() {
-            accepted.push(i);
-        } else if *out == ValidationOutcome::NotInductiveAlone {
-            parked.push(i);
-        }
+    if candidates.is_empty() {
+        return (Vec::new(), Vec::new(), SessionStats::default());
     }
-    let mut outcomes = outcomes;
-    if use_houdini && !parked.is_empty() {
-        // Pool the stragglers together with the individually-proven
-        // candidates: mutual induction may need them as hypotheses.
-        // Individually-inductive members always survive Houdini, so this
-        // cannot lose accepted candidates.
-        let pool_indices: Vec<usize> = accepted.iter().chain(parked.iter()).copied().collect();
-        let pool: Vec<Candidate> = pool_indices.iter().map(|&i| candidates[i].clone()).collect();
-        let hres = houdini(design, proven_lemmas, &pool, config);
-        stats.absorb(&hres.session);
-        for &pool_idx in &hres.accepted {
-            let orig = pool_indices[pool_idx];
-            if !accepted.contains(&orig) {
-                accepted.push(orig);
-                outcomes[orig] = ValidationOutcome::ProvenInductive { k: 1 };
+    let obs = &config.check.obs;
+    let validate_span = obs.span("flow.validate");
+    let per_candidate = config.check.simple_path;
+    let (ctx, ts, compiled) = compile_on_clone(design, candidates);
+    // The reference modes answer without a shared session.
+    let mut session = (!per_candidate && config.engine == EngineMode::Incremental).then(|| {
+        let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
+        session.add_lemmas(proven_lemmas);
+        session
+    });
+    let mut outcomes: Vec<ValidationOutcome> = candidates
+        .iter()
+        .zip(&compiled)
+        .map(|(cand, res)| match (res, &mut session) {
+            _ if per_candidate => validate_candidate(design, proven_lemmas, cand, config),
+            (Err(e), _) => ValidationOutcome::CompileRejected(e.clone()),
+            (Ok(prop), Some(session)) => check_on_session(session, prop, config),
+            (Ok(prop), None) => check_with_rebuild(&ctx, &ts, prop, proven_lemmas, config),
+        })
+        .collect();
+    drop(validate_span);
+
+    // Houdini pools the parked stragglers with the individually proven
+    // candidates, which mutual induction may need as hypotheses. It only
+    // adds: a candidate proven alone stays accepted whatever the fixpoint
+    // says.
+    let parked = |o: &ValidationOutcome| *o == ValidationOutcome::NotInductiveAlone;
+    let mut stats = SessionStats::default();
+    if use_houdini && outcomes.iter().any(parked) {
+        let _span = obs.span("flow.houdini");
+        let pool: Vec<usize> = (0..outcomes.len())
+            .filter(|&i| outcomes[i].is_proven() || parked(&outcomes[i]))
+            .collect();
+        let survivors: Vec<usize> = match &mut session {
+            Some(session) => {
+                let mut exprs = vec![None; compiled.len()];
+                for &i in &pool {
+                    exprs[i] = compiled[i].as_ref().ok().map(|p| p.ok);
+                }
+                houdini_on_session(session, &exprs, config.bmc_depth).accepted
+            }
+            None => {
+                let members: Vec<Candidate> = pool.iter().map(|&i| candidates[i].clone()).collect();
+                let hres = houdini(design, proven_lemmas, &members, config);
+                stats.absorb(&hres.session);
+                hres.accepted.iter().map(|&p| pool[p]).collect()
+            }
+        };
+        for i in survivors {
+            if parked(&outcomes[i]) {
+                outcomes[i] = ValidationOutcome::ProvenInductive { k: 1 };
             }
         }
     }
-    accepted.sort_unstable();
+    if let Some(session) = &session {
+        stats = *session.stats();
+    }
+    let accepted = (0..outcomes.len()).filter(|&i| outcomes[i].is_proven()).collect();
     (accepted, outcomes, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genfv_obs::{Obs, ObsConfig, QueryKind};
     use genfv_sva::parse_assertion;
 
     fn cand(text: &str) -> Candidate {
@@ -475,6 +527,20 @@ endmodule
 "#;
         PreparedDesign::new("pair", rtl, "mutual counters", &[]).unwrap()
     }
+
+    const SYNC: &str = r#"
+module sync_counters (input clk, rst, output logic [7:0] count1, count2);
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      count1 <= 8'b0;
+      count2 <= 8'b0;
+    end else begin
+      count1++;
+      count2++;
+    end
+  end
+endmodule
+"#;
 
     #[test]
     fn houdini_keeps_mutually_inductive_pair() {
@@ -551,5 +617,76 @@ endmodule
         let (accepted, outcomes) = validate_batch(&d, &[], &cands, &Default::default(), false);
         assert_eq!(accepted, vec![0]);
         assert_eq!(outcomes[1], ValidationOutcome::NotInductiveAlone);
+    }
+
+    /// Individual checks and the Houdini fixpoint of one batch share one
+    /// clone and one session: one bit-blast in all, and Houdini's deferred
+    /// base cases are answered from the clean depths BMC sanity recorded.
+    #[test]
+    fn validate_batch_bitblasts_once() {
+        let d = mutually_inductive_design();
+        let cands = vec![cand("a == b"), cand("&a |-> &b"), cand("a < 4'd3"), cand("a != b")];
+        let run = |use_houdini: bool| {
+            let mut config = ValidateConfig::default();
+            config.check.obs = Obs::new(ObsConfig::Deterministic);
+            let (accepted, _, stats) =
+                validate_batch_with_stats(&d, &[], &cands, &config, use_houdini);
+            let metrics = config.check.obs.metrics().expect("obs enabled");
+            (accepted, stats, metrics.latency(QueryKind::Base).count)
+        };
+        let (accepted, stats, base_calls) = run(true);
+        assert_eq!(accepted, vec![0, 1], "the pair needs Houdini");
+        assert_eq!(stats.bitblasts, 1, "one session for the whole batch");
+        assert_eq!(stats.rebuilds_avoided, stats.solver_calls - 1);
+
+        // The same batch without the Houdini stage issues exactly as many
+        // base-case solves: the fixpoint's base checks all hit the cache.
+        let (alone, alone_stats, alone_base_calls) = run(false);
+        assert_eq!(alone, vec![0]);
+        assert_eq!(alone_stats.bitblasts, 1);
+        assert_eq!(base_calls, alone_base_calls, "deferred base cases hit the clean-depth cache");
+    }
+
+    /// The batch answers exactly what a fresh clone and session per
+    /// candidate answer, and its accepted set is standalone Houdini's
+    /// fixpoint plus the candidates proven alone.
+    #[test]
+    fn batch_matches_per_candidate() {
+        let design = PreparedDesign::new("sync", SYNC, "spec", &[]).unwrap();
+        let candidates = vec![
+            cand("count1 == count2"),
+            cand("count1 != count2"),
+            cand("count1 == phantom"),
+            cand("&count1 |-> &count2"),
+            cand("count2 == count1"),
+            cand("count1 < 8'd5"),
+        ];
+        let config = ValidateConfig::default();
+        let per_candidate: Vec<ValidationOutcome> =
+            candidates.iter().map(|c| validate_candidate(&design, &[], c, &config)).collect();
+        let (_, batch) = validate_batch(&design, &[], &candidates, &config, false);
+        assert_eq!(batch, per_candidate);
+
+        let (accepted, _) = validate_batch(&design, &[], &candidates, &config, true);
+        let mut expected = houdini(&design, &[], &candidates, &config).accepted;
+        expected.extend((0..candidates.len()).filter(|&i| per_candidate[i].is_proven()));
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(accepted, expected);
+        assert_eq!(accepted, vec![0, 3, 4]);
+    }
+
+    #[test]
+    fn batch_empty_and_single_inputs() {
+        let design = PreparedDesign::new("sync", SYNC, "spec", &[]).unwrap();
+        let config = ValidateConfig::default();
+        let (accepted, outcomes, stats) =
+            validate_batch_with_stats(&design, &[], &[], &config, true);
+        assert!(accepted.is_empty() && outcomes.is_empty());
+        assert_eq!(stats.bitblasts, 0, "an empty batch opens no session");
+        let (accepted, outcomes) =
+            validate_batch(&design, &[], &[cand("count1 == count2")], &config, true);
+        assert_eq!(accepted, vec![0]);
+        assert!(outcomes[0].is_proven());
     }
 }

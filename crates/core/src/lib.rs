@@ -22,14 +22,16 @@
 //!
 //! **Incremental proof sessions.** Every stage of the gauntlet runs on
 //! persistent [`genfv_mc::ProofSession`]s rather than engines rebuilt per
-//! query: the parallel validator gives each worker shard one session for
-//! its whole slice of candidates ([`validate_parallel`]), Houdini runs
-//! its entire fixpoint — hypothesis activation, batched obligations,
-//! retraction of falsified candidates, deferred base cases — on one
-//! session and reports the hypotheses in the final proof's assumption
-//! core ([`HoudiniResult::carried`]), and the flows prove targets on
-//! shared sessions wherever the design is stable. The pre-session
-//! architecture survives behind [`genfv_mc::EngineMode::RebuildPerQuery`]
+//! query: [`validate_batch`] compiles a whole candidate batch onto one
+//! design clone and answers every candidate's checks on one session, on
+//! the caller's thread, then runs the Houdini fixpoint — hypothesis
+//! activation, batched obligations, retraction of falsified candidates,
+//! deferred base cases (cache hits by then) — on that same session.
+//! Standalone [`houdini()`] reports the hypotheses in the final proof's
+//! assumption core ([`HoudiniResult::carried`]), and the flows prove
+//! targets on shared sessions wherever the design is stable. The
+//! pre-session architecture survives behind
+//! [`genfv_mc::EngineMode::RebuildPerQuery`]
 //! (selectable through [`ValidateConfig::engine`] /
 //! [`FlowConfig::with_engine`]) as the reference for the corpus
 //! differential suite and the `e8_incremental_sessions` benchmark; both
@@ -85,7 +87,6 @@ pub mod design;
 pub mod error;
 pub mod flows;
 pub mod houdini;
-pub mod parallel;
 pub mod report;
 pub mod shard;
 pub mod validate;
@@ -102,7 +103,6 @@ pub use flows::{
 pub use genfv_ir::{OptConfig, OptLevel, OptStats};
 pub use genfv_obs::{Accumulate, Obs, ObsConfig, ObsReport};
 pub use houdini::{houdini, validate_batch, HoudiniResult};
-pub use parallel::validate_parallel;
 pub use report::{render_events, render_report, summarize_targets, Table};
 pub use shard::{CorpusConfig, CorpusMode};
 pub use validate::{

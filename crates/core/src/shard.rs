@@ -2,8 +2,8 @@
 //! long-lived sessions.
 //!
 //! The flows in [`crate::flows`] amortise solver state *within* one
-//! design (persistent [`genfv_mc::ProofSession`]s, sharded candidate
-//! validation, Houdini on one session). Scaling *across* designs — a
+//! design (persistent [`genfv_mc::ProofSession`]s, one session per
+//! candidate batch with Houdini on it). Scaling *across* designs — a
 //! queue of `(design, targets)` jobs spread over every core — is the job
 //! of the **`genfv-service`** crate's `VerificationService`: a bounded
 //! submission queue, a persistent worker pool, a design-hash-keyed cache

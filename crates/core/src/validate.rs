@@ -154,10 +154,39 @@ pub fn validate_candidate(
     check_on_session(&mut session, &prop, config)
 }
 
-/// The validation gauntlet steps 3 and 4 (BMC sanity, then induction) on
-/// an existing session whose design already contains the compiled
-/// property. Shared by [`validate_candidate`] and the sharded parallel
-/// validator.
+/// Compiles every candidate onto one clone of the design, in input order.
+/// Returns the clone and, index-aligned with `candidates`, each compiled
+/// property or the compiler's message.
+///
+/// Sharing the clone is sound because monitor state only reads design
+/// signals and feeds nothing back: one candidate's monitors cannot change
+/// another's verdict. Compilation finishes before any session is opened
+/// on the clone, so every monitor unrolls with the frames.
+pub(crate) fn compile_on_clone(
+    design: &PreparedDesign,
+    candidates: &[Candidate],
+) -> (Context, TransitionSystem, Vec<Result<Property, String>>) {
+    let mut ctx = design.ctx.clone();
+    let mut ts = design.ts.clone();
+    let compiled = {
+        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
+        candidates
+            .iter()
+            .map(|cand| {
+                pc.compile(&cand.assertion)
+                    .map(|c| Property::new(cand.name.clone(), c.ok))
+                    .map_err(|e| e.to_string())
+            })
+            .collect()
+    };
+    (ctx, ts, compiled)
+}
+
+/// The validation gauntlet steps 3 and 4 (BMC sanity, then induction with
+/// prior lemmas assumed) on an existing session whose design already
+/// contains the compiled property. Shared by [`validate_candidate`] and
+/// [`crate::houdini::validate_batch`], which runs a whole batch on one
+/// session.
 pub(crate) fn check_on_session(
     session: &mut ProofSession<'_>,
     prop: &Property,
@@ -170,16 +199,6 @@ pub(crate) fn check_on_session(
     if let Some(at) = session.first_violation(prop.ok, config.bmc_depth) {
         return ValidationOutcome::FalseByBmc { at };
     }
-    induction_on_session(session, prop, config)
-}
-
-/// Gauntlet step 4 alone — the induction attempt with prior lemmas
-/// assumed, for callers that already ran the (batched) BMC sanity sweep.
-pub(crate) fn induction_on_session(
-    session: &mut ProofSession<'_>,
-    prop: &Property,
-    _config: &ValidateConfig,
-) -> ValidationOutcome {
     match session.prove(prop) {
         ProveResult::Proven { k, .. } => ValidationOutcome::ProvenInductive { k },
         ProveResult::Falsified { at, .. } => ValidationOutcome::FalseByBmc { at },

@@ -9,11 +9,11 @@
 //! per-signal trace *values* may differ between engines; everything the
 //! flows branch on is pinned here.
 //!
-//! The flow-level test at the bottom runs the complete Flow-2 repair loop
-//! (validation gauntlet, sharded parallel validation, Houdini, target
-//! proofs) in both engine modes and requires identical verdicts and
-//! identical accepted-lemma sets — the acceptance criterion for the
-//! incremental-session work.
+//! The flow-level tests at the bottom run the complete Flow-1 and Flow-2
+//! loops (validation gauntlet on one session per candidate batch, Houdini
+//! on that same session, target proofs) in both engine modes and require
+//! identical verdicts and identical accepted-lemma sets — the acceptance
+//! criterion for the incremental-session work.
 
 use genfv_core::{
     run_flow1, run_flow2, validate_batch, Candidate, FlowConfig, TargetOutcome, ValidateConfig,
@@ -147,13 +147,16 @@ fn assert_outcome_eq(a: &TargetOutcome, b: &TargetOutcome, what: &str) {
     }
 }
 
-/// The deterministic Flow-1 candidate pool of a design (the prompt
-/// depends only on spec + RTL + targets, so both engine modes see the
-/// byte-identical completion).
-fn corpus_candidates(bundle: &genfv_designs::DesignBundle) -> Vec<Candidate> {
+/// The deterministic Flow-1 candidate pool of a design under `profile`
+/// (the prompt depends only on spec + RTL + targets, so both engine modes
+/// see the byte-identical completion).
+fn corpus_candidates(
+    bundle: &genfv_designs::DesignBundle,
+    profile: ModelProfile,
+) -> Vec<Candidate> {
     let targets: Vec<String> = bundle.targets.iter().map(|(_, sva)| sva.clone()).collect();
     let prompt = Prompt::flow1(bundle.spec, bundle.rtl, &targets);
-    let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 42);
+    let mut llm = SyntheticLlm::new(profile, 42);
     let completion = llm.complete(&prompt);
     parse_assertions(&completion.text)
         .into_iter()
@@ -166,26 +169,35 @@ fn corpus_candidates(bundle: &genfv_designs::DesignBundle) -> Vec<Candidate> {
         .collect()
 }
 
-/// The whole validation gauntlet (sharded parallel validation + Houdini)
-/// over identical candidate pools: per-candidate outcomes — including the
-/// exact `k` of every `ProvenInductive` and the exact cycle of every
-/// `FalseByBmc` — must be equal in both engine modes.
+/// The whole validation gauntlet (every candidate of a batch and then
+/// Houdini on one shared session) over identical candidate pools from
+/// every model profile: per-candidate outcomes — including the exact `k`
+/// of every `ProvenInductive` and the exact cycle of every `FalseByBmc` —
+/// must be equal in both engine modes. The hallucinating profiles put
+/// compile rejects and false candidates into the shared session next to
+/// the accepted ones.
 #[test]
 fn validate_batch_outcomes_identical_across_engines() {
     let incremental_cfg = ValidateConfig::default();
     let rebuild_cfg =
         ValidateConfig { engine: EngineMode::RebuildPerQuery, ..ValidateConfig::default() };
     let mut candidates_checked = 0;
+    let mut rejected = 0;
     for bundle in genfv_designs::all_designs() {
         let design = bundle.prepare().expect("corpus designs prepare");
-        let candidates = corpus_candidates(&bundle);
-        let (acc_i, out_i) = validate_batch(&design, &[], &candidates, &incremental_cfg, true);
-        let (acc_r, out_r) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
-        assert_eq!(acc_i, acc_r, "accepted sets diverged on {}", bundle.name);
-        assert_eq!(out_i, out_r, "validation outcomes diverged on {}", bundle.name);
-        candidates_checked += candidates.len();
+        for profile in ModelProfile::ALL {
+            let candidates = corpus_candidates(&bundle, profile);
+            let what = format!("{} under {profile:?}", bundle.name);
+            let (acc_i, out_i) = validate_batch(&design, &[], &candidates, &incremental_cfg, true);
+            let (acc_r, out_r) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
+            assert_eq!(acc_i, acc_r, "accepted sets diverged on {what}");
+            assert_eq!(out_i, out_r, "validation outcomes diverged on {what}");
+            candidates_checked += candidates.len();
+            rejected += out_i.iter().filter(|o| !o.is_proven()).count();
+        }
     }
     assert!(candidates_checked >= 20, "the corpus should contribute real candidate pools");
+    assert!(rejected > 0, "the batches should mix rejected and accepted candidates");
 }
 
 /// Flow 1 end to end: its prompt carries no counterexample, so the two

@@ -338,7 +338,7 @@ pub struct SessionStats {
 }
 
 // Folding another session's counters into this one (used when several
-// sessions serve one logical run, e.g. parallel worker shards or
+// sessions serve one logical run, e.g. the validation batches and
 // lemma-installation rebuilds in the flows). `last_*` fields only follow a
 // session that actually queried — don't clobber with zeros.
 genfv_obs::impl_accumulate!(SessionStats {
@@ -961,7 +961,6 @@ impl<'c> ProofSession<'c> {
         let _span = self.config.obs.span_with("prove", || property.name.clone());
         let start = Instant::now();
         let mut stats = CheckStats::default();
-        let mut last_step_cex: Option<(usize, Trace)> = None;
 
         for k in 1..=self.config.max_k {
             // --- base case: no violation in cycles 0..k from reset -------
@@ -1042,10 +1041,15 @@ impl<'c> ProofSession<'c> {
                     stats.duration = start.elapsed();
                     return ProveResult::Proven { k, stats };
                 }
-                SolveResult::Sat => {
+                // A step CEX below `max_k` only sends the loop one depth
+                // deeper; only the last one is reported, so only it pays
+                // for trace extraction.
+                SolveResult::Sat if k == self.config.max_k => {
                     let trace = self.trace(Dir::Step, &property.name, TraceKind::InductionStep, k);
-                    last_step_cex = Some((k, trace));
+                    stats.duration = start.elapsed();
+                    return ProveResult::StepFailure { k, trace, stats };
                 }
+                SolveResult::Sat => {}
                 SolveResult::Unknown => {
                     stats.duration = start.elapsed();
                     return ProveResult::Unknown {
@@ -1056,13 +1060,12 @@ impl<'c> ProofSession<'c> {
             }
         }
 
+        // Every depth returns or goes deeper, so only `max_k == 0` gets
+        // here.
         stats.duration = start.elapsed();
-        match last_step_cex {
-            Some((k, trace)) => ProveResult::StepFailure { k, trace, stats },
-            None => ProveResult::Unknown {
-                reason: "no induction depth attempted (max_k = 0?)".to_string(),
-                stats,
-            },
+        ProveResult::Unknown {
+            reason: "no induction depth attempted (max_k = 0?)".to_string(),
+            stats,
         }
     }
 }

@@ -54,8 +54,8 @@
 //! highest-leverage knobs first); beyond ~6 the marginal worker mostly
 //! duplicates an existing configuration's behaviour. The deterministic
 //! ladder never adds a thread. When a wall-clock portfolio runs inside an
-//! already-parallel stage (e.g. the sharded candidate validator), keep
-//! `workers × shards` within the machine's core count.
+//! already-parallel stage (e.g. the service's worker pool), keep `workers
+//! × service workers` within the machine's core count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
