@@ -1,5 +1,5 @@
 //! Criterion timing groups backing the experiment tables (one group per
-//! table/figure; see `DESIGN.md` §4).
+//! table/figure; see the experiment table in the `genfv-bench` crate docs).
 //!
 //! The groups use the 16-bit counter variant and reduced sample counts so
 //! a full `cargo bench` stays in the minutes range on a laptop while still

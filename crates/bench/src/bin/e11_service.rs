@@ -43,12 +43,10 @@ use std::time::{Duration, Instant};
 /// Baseline-section designs: capital-dominated corpus members (encoding
 /// and base cases outweigh the step search) — plus `mul_incr` as a
 /// deliberately adversarial control. Its multiplier cone makes the step
-/// search conflict-dominated, and skipping seeded base cases used to
-/// also skip the learned-clause warmup those solves would have given
-/// the step query, making the warm service slightly *slower* there.
-/// The seed's clause pool now replays the skipped solves' learnt
-/// clauses (see `e13_cube`), so the cell is kept as the regression
-/// sentinel for exactly that trade.
+/// search conflict-dominated, and skipping seeded base cases also skips
+/// the learned-clause warmup those solves would have given the step
+/// query, so the warm service can be slightly *slower* there. The cell
+/// is not gated; it shows the size of that trade.
 const BASELINE_DESIGNS: &[&str] = &[
     "sync_counters_16",
     "hamming74",

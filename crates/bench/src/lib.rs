@@ -1,7 +1,10 @@
 //! # genfv-bench — the experiment harness
 //!
-//! One binary per experiment from `DESIGN.md` §4 (run with
-//! `cargo run --release -p genfv-bench --bin <name>`):
+//! One binary per experiment (run with
+//! `cargo run --release -p genfv-bench --bin <name>`). E1–E7 reproduce
+//! the paper's tables and figures with the synthetic LLM of
+//! `genfv-genai` (its crate docs give the substitution argument); the
+//! rest measure one mechanism of the stack each:
 //!
 //! | binary | experiment | paper artefact |
 //! |---|---|---|
@@ -17,7 +20,6 @@
 //! | `e10_template_unroll` | E10 | template-stamped vs DAG-walk frame encoding |
 //! | `e11_service` | E11 | warm session-cached vs cold verification service |
 //! | `e12_opt` | E12 | prepare-time netlist optimization vs `OptLevel::None` |
-//! | `e13_cube` | E13 | clause pool on hard queries |
 //! | `e14_obs` | E14 | observability overhead gate (Off vs Full tracing) |
 //! | `e15_satsweep` | E15 | `OptLevel::SatSweep` vs `OptLevel::Full` CNF size and flow cost |
 //!

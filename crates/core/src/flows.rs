@@ -16,8 +16,8 @@ use crate::validate::{install_lemma, Candidate, Lemma, ValidateConfig, Validatio
 use genfv_genai::{LanguageModel, Prompt};
 use genfv_ir::{OptConfig, OptStats};
 use genfv_mc::{
-    prove_rebuild, render_waveform, CheckConfig, EngineMode, PoolScope, PortfolioConfig,
-    ProofSession, ProveResult, SessionStats, Trace, UnrollMode,
+    prove_rebuild, render_waveform, CheckConfig, EngineMode, PortfolioConfig, ProofSession,
+    ProveResult, SessionStats, Trace, UnrollMode,
 };
 use genfv_obs::{Accumulate, Obs};
 use genfv_sva::parse_assertions;
@@ -489,28 +489,6 @@ fn repair_target(
     }
 }
 
-/// Caps the clause-pool scope of every check in an LLM-driven flow at
-/// [`PoolScope::BaseOnly`].
-///
-/// These flows make decisions from step-direction SAT *models* — the
-/// induction-step counterexample rendered into the repair prompt, and the
-/// Houdini violation witnesses that pick which candidates die — and pool
-/// imports, while answer-preserving, can steer a warm solver to a
-/// different model than a cold one would find. Base-direction answers are
-/// consumed as booleans (clean/violated, earliest cycle), so base-only
-/// warm starts keep the flow's lemma set bit-identical to a cold run.
-/// [`run_baseline`] has no model-sensitive decisions and keeps the
-/// configured scope.
-fn llm_scoped(config: &FlowConfig) -> FlowConfig {
-    let mut c = config.clone();
-    for check in [&mut c.check, &mut c.validate.check] {
-        if check.clause_pool == PoolScope::Full {
-            check.clause_pool = PoolScope::BaseOnly;
-        }
-    }
-    c
-}
-
 /// Runs the paper's Flow 1 (Fig. 1): upfront helper-assertion generation
 /// from specification + RTL, then target proofs with the accepted lemmas.
 pub fn run_flow1(
@@ -518,7 +496,6 @@ pub fn run_flow1(
     llm: &mut dyn LanguageModel,
     config: &FlowConfig,
 ) -> FlowReport {
-    let config = &llm_scoped(config);
     let _span = config.obs().span_with("flow.flow1", || design.name.clone());
     let start = Instant::now();
     let mut metrics = FlowMetrics::default();
@@ -604,7 +581,6 @@ pub fn run_flow2(
     llm: &mut dyn LanguageModel,
     config: &FlowConfig,
 ) -> FlowReport {
-    let config = &llm_scoped(config);
     let _span = config.obs().span_with("flow.flow2", || design.name.clone());
     let start = Instant::now();
     let mut metrics = FlowMetrics::default();
@@ -696,7 +672,6 @@ pub fn run_combined(
     llm: &mut dyn LanguageModel,
     config: &FlowConfig,
 ) -> FlowReport {
-    let config = &llm_scoped(config);
     let _span = config.obs().span_with("flow.combined", || design.name.clone());
     let start = Instant::now();
     let mut metrics = FlowMetrics::default();

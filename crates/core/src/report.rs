@@ -76,13 +76,6 @@ pub fn render_solver_reuse(report: &FlowReport) -> String {
         s.selectors_retired,
         s.conflicts,
     );
-    if s.pool_clauses_imported + s.pool_clauses_exported + s.pool_hits > 0 {
-        let _ = writeln!(
-            out,
-            "pool    : imported={} exported={} hits={} evictions={}",
-            s.pool_clauses_imported, s.pool_clauses_exported, s.pool_hits, s.pool_evictions,
-        );
-    }
     out
 }
 

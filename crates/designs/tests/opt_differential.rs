@@ -231,3 +231,27 @@ fn opt_level_salts_isolate_session_seeds() {
         assert!(!opt_seed.matches(&base.ctx, &base.ts), "{}", bundle.name);
     }
 }
+
+/// The pipeline must pay for itself where it was built to: on every
+/// datapath design the per-frame CNF (the transition template with the
+/// targets as extra roots, the cost every stamped frame pays) has fewer
+/// variables and fewer clauses at `OptLevel::Full` than at
+/// `OptLevel::None`. This is `e12_opt`'s "datapath CNF must shrink" gate.
+#[test]
+fn full_opt_shrinks_datapath_cnf() {
+    use genfv_ir::Template;
+    let cnf = |p: &PreparedDesign| {
+        let roots: Vec<_> = p.targets.iter().map(|t| t.prop.ok).collect();
+        let t = Template::build_with(&p.ctx, &p.ts, &roots);
+        (t.num_vars(), t.num_clauses())
+    };
+    for bundle in genfv_designs::datapath_designs() {
+        let full = bundle
+            .prepare_with(&OptConfig::default().with_level(OptLevel::Full))
+            .expect("full prepare");
+        let (bv, bc) = cnf(&baseline_prep(&bundle));
+        let (fv, fc) = cnf(&full);
+        assert!(fv < bv, "{}: Full must drop template variables ({bv} -> {fv})", bundle.name);
+        assert!(fc < bc, "{}: Full must drop template clauses ({bc} -> {fc})", bundle.name);
+    }
+}

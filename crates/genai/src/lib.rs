@@ -21,8 +21,32 @@
 //! The four profiles (GPT-4-Turbo, GPT-4o, Llama-3, Gemini) are calibrated
 //! so the paper's Section-V quality ordering is reproduced *end to end* —
 //! including the overhead of rejecting junk — rather than asserted.
-//! `DESIGN.md` documents why this substitution preserves the measurable
-//! claims.
+//!
+//! ## Why the substitution preserves the measurable claims
+//!
+//! * **Same interface, same artefacts.** The flows see the model only
+//!   through [`LanguageModel`]: prompt text in, completion text out. The
+//!   synthetic model gets no side channel to the design; it recovers the
+//!   spec, RTL and counterexample from the rendered prompt, so prompt
+//!   construction is exercised exactly as with a hosted model.
+//! * **The verdicts do not trust the model.** Every completion goes
+//!   through the same assertion parser and the same validation (compile,
+//!   BMC sanity check, induction or Houdini) that GPT-4 output would
+//!   face, and only proven lemmas are ever assumed. Hallucinated
+//!   signals, syntax slips and false invariants therefore cost
+//!   validation work but can never change a verdict.
+//! * **What is measured is the verification side.** The paper's claims
+//!   are that helper assertions let k-induction close (proven targets,
+//!   induction depth), and what the extra proof and validation work
+//!   costs. Both depend only on *which* candidates a completion
+//!   contains, and the miner proposes the families the paper shows the
+//!   LLM producing (e.g. the lockstep-counter equality of Listing 1).
+//! * **What it does not preserve.** The profiles' relative quality is a
+//!   calibrated input, not a finding: nothing here says which hosted
+//!   model is better. LLM latency is simulated
+//!   ([`Completion::latency`]) and reported apart from host time, and
+//!   the miner is deterministic per seed, so run-to-run model variance
+//!   is not measured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

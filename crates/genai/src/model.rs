@@ -48,8 +48,8 @@ pub trait LanguageModel {
 ///
 /// Parameters are calibrated to reproduce the *relative ordering* observed
 /// in the paper's results (OpenAI models produced notably better helper
-/// assertions than Llama or Gemini) — see `DESIGN.md` for the substitution
-/// argument.
+/// assertions than Llama or Gemini) — see the crate docs for the
+/// substitution argument.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum ModelProfile {
     /// Emulates GPT-4-Turbo: full pattern coverage, rare hallucinations.

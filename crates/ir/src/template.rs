@@ -365,18 +365,6 @@ pub struct FrameStamp {
     xmap: Vec<Lit>,
 }
 
-impl FrameStamp {
-    /// First solver variable of the frame's interior window.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The literal substituted for each template X-slot bit.
-    pub fn xmap(&self) -> &[Lit] {
-        &self.xmap
-    }
-}
-
 /// A one-time blast of a transition relation into a relocatable clause
 /// block; see the [module docs](self) for the architecture.
 #[derive(Clone, Debug)]

@@ -151,17 +151,14 @@ pub struct CheckConfig {
     /// reference engines always DAG-walk.
     pub unroll_mode: crate::unroll::UnrollMode,
     /// Warm-start capital shared across sessions over one design (see
-    /// [`crate::session::SessionSeed`]): the template and clean-depth
-    /// pool of the `genfv-service` session cache. Sessions adopt the
+    /// [`crate::session::SessionSeed`]): the template and clean depths
+    /// of the `genfv-service` session cache. Sessions adopt the
     /// seed only when its fingerprint matches the design they are built
     /// for, so a stale handle is inert rather than unsound. `None` (the
     /// default) starts every session cold.
     pub seed: Option<std::sync::Arc<crate::session::SessionSeed>>,
-    /// How much of the seed's persistent learnt-clause pool sessions
-    /// participate in (replaying pooled glue before each query and
-    /// publishing their own glue after; see [`genfv_sat::ClausePool`]).
-    /// [`PoolScope::Full`] by default; inert without a matching
-    /// [`CheckConfig::seed`].
+    /// Ignored; kept because `e0_ledger` names it; delete with the next
+    /// benchmark change.
     pub clause_pool: PoolScope,
     /// Observability handle threaded into every session solver this
     /// config creates: spans (`prove`, `session.extend.*`, `solve.*`)
@@ -170,28 +167,13 @@ pub struct CheckConfig {
     pub obs: genfv_obs::Obs,
 }
 
-/// Scope of a session's clause-pool participation
-/// ([`CheckConfig::clause_pool`]).
-///
-/// Pool imports never change a complete query's SAT/UNSAT answer, but
-/// they legitimately steer the search — a warm solver can find a
-/// *different model* than a cold one. Flows whose downstream decisions
-/// read step-direction models (induction-step counterexamples rendered
-/// into LLM prompts, Houdini violation witnesses selecting which
-/// candidates die) therefore run [`PoolScope::BaseOnly`]: base-direction
-/// answers are consumed as booleans (clean/violated, earliest cycle), so
-/// warm-starting them is reproducibility-invariant, while step queries
-/// stay bit-identical to a cold run. Unaided workloads (plain induction,
-/// baseline sweeps) keep [`PoolScope::Full`].
+/// The type of [`CheckConfig::clause_pool`]. Ignored; kept because
+/// `e0_ledger` names it; delete with the next benchmark change.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolScope {
-    /// No pool participation (differential-testing control).
-    Off,
-    /// Base-direction queries only: model-reproducibility-safe.
-    BaseOnly,
-    /// Both directions (default).
+    /// The only value: no learnt clause crosses a session boundary.
     #[default]
-    Full,
+    Off,
 }
 
 impl Default for CheckConfig {

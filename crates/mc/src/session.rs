@@ -58,10 +58,8 @@ use crate::trace::{read_symbol_cycles, Trace, TraceKind};
 use crate::unroll::{UnrollMode, Unroller};
 use genfv_ir::{Context, ExprRef, Template, TransitionSystem};
 use genfv_obs::QueryKind;
-use genfv_sat::{
-    ActivationGroup, BaseTag, ClausePool, Lit, PoolConfig, QueryEffort, SolveResult, StepTables,
-};
-use std::collections::{HashMap, HashSet};
+use genfv_sat::{ActivationGroup, Lit, QueryEffort, SolveResult};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -93,12 +91,16 @@ use std::time::Instant;
 /// sessions silently run unseeded. Sessions publish newly learnt clean
 /// depths back into the seed when they are dropped, so capital compounds
 /// across requests. All methods are thread-safe; merging is monotone
-/// (`max` per property), so concurrent sessions only ever strengthen the
-/// pool.
+/// (`max` per property), so concurrent sessions only ever deepen the
+/// clean facts.
 ///
-/// Under a [`CheckConfig::conflict_budget`] a seeded session can answer
-/// *more* than a cold one (a skipped base case consumes no budget); it
-/// can never answer differently on queries both complete.
+/// No learnt clause crosses a session boundary: a seeded session differs
+/// from a cold one only by the base cases it skips and by stamping from
+/// a shared (deterministically built) template, so its step-direction
+/// models are bit-identical to a cold session's. Under a
+/// [`CheckConfig::conflict_budget`] a seeded session can answer *more*
+/// than a cold one (a skipped base case consumes no budget); it can never
+/// answer differently on queries both complete.
 #[derive(Debug)]
 pub struct SessionSeed {
     /// Layout fingerprint of the design this seed belongs to, XORed with
@@ -115,11 +117,6 @@ pub struct SessionSeed {
     /// Deepest from-reset cycle proven violation-free per observable,
     /// merged from every seeded session over this design.
     clean: Mutex<HashMap<ExprRef, usize>>,
-    /// Persistent learnt-clause pool: low-LBD glue exported by every
-    /// seeded session's solvers, replayed into later sessions over the
-    /// same design (see [`genfv_sat::ClausePool`] for the relocation and
-    /// tag-matching soundness arguments).
-    pool: ClausePool,
     /// Times a session reused the already-built template.
     template_reuses: AtomicU64,
     /// Times a session had to build the template (0 or 1 in practice).
@@ -138,31 +135,14 @@ impl SessionSeed {
     /// accounted for in [`SessionSeed::matches`] — but two seeds with
     /// different salts never report the same fingerprint.
     pub fn for_design_salted(ctx: &Context, ts: &TransitionSystem, salt: u64) -> Arc<SessionSeed> {
-        Self::for_design_pooled(ctx, ts, salt, PoolConfig::default())
-    }
-
-    /// [`SessionSeed::for_design_salted`] with an explicit clause-pool
-    /// configuration (byte budget, LBD cutoff, per-call limits).
-    pub fn for_design_pooled(
-        ctx: &Context,
-        ts: &TransitionSystem,
-        salt: u64,
-        pool: PoolConfig,
-    ) -> Arc<SessionSeed> {
         Arc::new(SessionSeed {
             fingerprint: Self::fingerprint(ctx, ts) ^ salt,
             salt,
             template: Mutex::new(None),
             clean: Mutex::new(HashMap::new()),
-            pool: ClausePool::new(pool),
             template_reuses: AtomicU64::new(0),
             template_builds: AtomicU64::new(0),
         })
-    }
-
-    /// The seed's persistent learnt-clause pool.
-    pub fn pool(&self) -> &ClausePool {
-        &self.pool
     }
 
     /// The salt this seed was created with (0 unless the creator passed
@@ -240,28 +220,28 @@ impl SessionSeed {
         self.template_reuses.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the pooled clean depths.
+    /// A snapshot of the seeded clean depths.
     fn clean_snapshot(&self) -> HashMap<ExprRef, usize> {
         self.clean.lock().expect("seed clean lock").clone()
     }
 
-    /// Number of observables with a pooled clean depth.
+    /// Number of observables with a seeded clean depth.
     pub fn clean_entries(&self) -> usize {
         self.clean.lock().expect("seed clean lock").len()
     }
 
-    /// Merges a dying session's clean depths into the pool (monotone:
+    /// Merges a dying session's clean depths into the seed (monotone:
     /// depths only deepen).
     fn publish_clean(&self, facts: &HashMap<ExprRef, usize>) {
-        let mut pool = self.clean.lock().expect("seed clean lock");
+        let mut clean = self.clean.lock().expect("seed clean lock");
         for (&ok, &k) in facts {
-            let entry = pool.entry(ok).or_insert(k);
+            let entry = clean.entry(ok).or_insert(k);
             *entry = (*entry).max(k);
         }
     }
 
-    /// Rough heap footprint (template clause arena, clean pool, clause
-    /// pool), for cache byte budgets.
+    /// Rough heap footprint (template clause arena, clean depths), for
+    /// cache byte budgets.
     pub fn approx_bytes(&self) -> usize {
         let template = self
             .template
@@ -271,7 +251,7 @@ impl SessionSeed {
             // ~16 bytes per clause of arena payload plus per-var metadata.
             .map(|t| t.num_clauses() * 16 + t.num_vars() as usize * 8)
             .unwrap_or(0);
-        template + self.clean.lock().expect("seed clean lock").len() * 24 + self.pool.approx_bytes()
+        template + self.clean.lock().expect("seed clean lock").len() * 24
     }
 }
 
@@ -326,15 +306,15 @@ pub struct SessionStats {
     /// Always 0 since cube-and-conquer was removed; kept because
     /// `e0_ledger` reads it; delete with the next benchmark change.
     pub cubes_raced: u64,
-    /// Learnt clauses replayed from the seed's clause pool into this
-    /// session's solvers.
+    /// Always 0 since the clause pool was removed: ignored; kept because
+    /// `e0_ledger` names it; delete with the next benchmark change.
     pub pool_clauses_imported: u64,
-    /// Learnt clauses this session published into the seed's clause pool.
+    /// Always 0 since the clause pool was removed: ignored; kept because
+    /// `e0_ledger` names it; delete with the next benchmark change.
     pub pool_clauses_exported: u64,
-    /// Pool imports that yielded at least one clause (warm-start hits).
+    /// Always 0 since the clause pool was removed: ignored; kept because
+    /// `e0_ledger` names it; delete with the next benchmark change.
     pub pool_hits: u64,
-    /// Pool entries evicted (byte budget) by this session's exports.
-    pub pool_evictions: u64,
 }
 
 // Folding another session's counters into this one (used when several
@@ -355,10 +335,6 @@ genfv_obs::impl_accumulate!(SessionStats {
         portfolio_glue_shared,
         clean_seed_hits,
         templates_reused,
-        pool_clauses_imported,
-        pool_clauses_exported,
-        pool_hits,
-        pool_evictions,
     ],
     max: [clauses_retained, max_frame],
     last_if solver_calls: [last_query_conflicts, last_core_size],
@@ -413,13 +389,6 @@ pub struct ProofSession<'c> {
     /// The clean depths that came in from the seed, kept apart from
     /// locally-discovered ones so seed hits are attributable.
     seeded_clean: HashMap<ExprRef, usize>,
-    /// Clause-pool entry ids this session has already replayed (or
-    /// itself exported) — never imported twice.
-    pool_consumed: HashSet<u64>,
-    /// Every [`BaseTag`] of the base solver's own addition history, one
-    /// per base query (real or clean-skipped): the tags this session can
-    /// soundly vouch for when importing base-direction pool entries.
-    base_tags_seen: HashSet<BaseTag>,
     /// Simple-path activation literal (created on first use, step side).
     sp_guard: Option<Lit>,
     /// Simple-path pairs exist for all `(i, j)` with `j <= sp_frames`.
@@ -487,8 +456,6 @@ impl<'c> ProofSession<'c> {
             step_prop_guards: std::collections::HashMap::new(),
             seed,
             seeded_clean,
-            pool_consumed: HashSet::new(),
-            base_tags_seen: HashSet::new(),
             sp_guard: None,
             sp_frames: 0,
             selectors: ActivationGroup::new(),
@@ -633,101 +600,8 @@ impl<'c> ProofSession<'c> {
         w
     }
 
-    /// The seed's clause pool, when this session participates in it for
-    /// direction `dir` (a seed was adopted and
-    /// [`CheckConfig::clause_pool`] covers the direction).
-    fn pool_seed(&self, dir: Dir) -> Option<Arc<SessionSeed>> {
-        let covered = match self.config.clause_pool {
-            crate::engine::PoolScope::Off => false,
-            crate::engine::PoolScope::BaseOnly => dir == Dir::Base,
-            crate::engine::PoolScope::Full => true,
-        };
-        if !covered {
-            return None;
-        }
-        self.seed.clone()
-    }
-
-    /// The step solver's frame layout in [`StepTables`] form — every
-    /// stamped frame's window base plus frame 0's free-state literals.
-    /// `None` outside template mode (DAG-walked frames have no uniform
-    /// windows to normalize against).
-    fn step_tables(&self) -> Option<(Vec<usize>, usize, Vec<Lit>)> {
-        let width = self.step.template()?.num_vars() as usize;
-        let mut bases = Vec::new();
-        while let Some(s) = self.step.frame_stamp(bases.len()) {
-            bases.push(s.base());
-        }
-        let x_lits = self.step.frame_stamp(0)?.xmap().to_vec();
-        Some((bases, width, x_lits))
-    }
-
-    /// Pre-query pool participation: replay every eligible pool entry
-    /// into `dir`'s solver, and return the context the post-query export
-    /// needs (the seed, the base-direction tag of this query, and the
-    /// learnt-clause mark delimiting what this query learns).
-    fn pool_pre(&mut self, dir: Dir) -> Option<(Arc<SessionSeed>, Option<BaseTag>, usize)> {
-        let seed = self.pool_seed(dir)?;
-        let (tag, clauses) = match dir {
-            Dir::Base => {
-                let tag = BaseTag::of(self.base.blaster().solver());
-                self.base_tags_seen.insert(tag);
-                let tags = &self.base_tags_seen;
-                let clauses =
-                    seed.pool().import_base(&mut self.pool_consumed, |t| tags.contains(t));
-                (Some(tag), clauses)
-            }
-            Dir::Step => {
-                let (bases, width, x_lits) = self.step_tables()?;
-                let tables =
-                    StepTables { window_bases: &bases, window_width: width, x_lits: &x_lits };
-                (None, seed.pool().import_step(&mut self.pool_consumed, &tables))
-            }
-        };
-        if !clauses.is_empty() {
-            let solver = self.un(dir).blaster_mut().solver_mut();
-            for c in &clauses {
-                solver.import_learnt(c);
-            }
-            self.stats.pool_clauses_imported += clauses.len() as u64;
-            self.stats.pool_hits += 1;
-        }
-        let mark = self.un(dir).blaster().solver().clause_db_mark();
-        Some((seed, tag, mark))
-    }
-
-    /// Post-query pool participation: publish the glue this query learnt
-    /// (base clauses verbatim under the query-start tag; step clauses
-    /// normalized through the frame tables), marking the admitted ids as
-    /// consumed so this session never re-imports its own exports.
-    fn pool_post(&mut self, dir: Dir, seed: &SessionSeed, tag: Option<BaseTag>, mark: usize) {
-        let cfg = seed.pool().config().clone();
-        let clauses =
-            self.un(dir).blaster().solver().export_glue_since(mark, cfg.max_lbd, cfg.export_limit);
-        if clauses.is_empty() {
-            return;
-        }
-        let evictions_before = seed.pool().stats().evictions;
-        let ids = match (dir, tag) {
-            (Dir::Base, Some(tag)) => seed.pool().export_base(tag, &clauses),
-            (Dir::Step, _) => {
-                let Some((bases, width, x_lits)) = self.step_tables() else {
-                    return;
-                };
-                let tables =
-                    StepTables { window_bases: &bases, window_width: width, x_lits: &x_lits };
-                seed.pool().export_step(&clauses, &tables)
-            }
-            _ => return,
-        };
-        self.stats.pool_clauses_exported += ids.len() as u64;
-        self.pool_consumed.extend(ids);
-        self.stats.pool_evictions += seed.pool().stats().evictions.saturating_sub(evictions_before);
-    }
-
     fn solve_on(&mut self, dir: Dir, window: usize, extra: &[Lit]) -> SolveResult {
         self.ensure_frames_dir(dir, window);
-        let pool_ctx = self.pool_pre(dir);
         let mut assumptions = Vec::with_capacity(window + 1 + extra.len());
         // The caller's assumptions (obligations, hypothesis selectors) go
         // first so the search is focused on the actual query before the
@@ -770,9 +644,6 @@ impl<'c> ProofSession<'c> {
                 (result, self.last_effort.conflicts)
             }
         };
-        if let Some((seed, tag, mark)) = pool_ctx {
-            self.pool_post(dir, &seed, tag, mark);
-        }
         let clauses =
             self.base.blaster().solver().num_clauses() + self.step.blaster().solver().num_clauses();
         let core = {
@@ -894,28 +765,6 @@ impl<'c> ProofSession<'c> {
         if self.seeded_clean.get(&ok).is_some_and(|&clean| k <= clean) {
             self.stats.clean_seed_hits += 1;
         }
-        self.replay_skipped_base(ok, k);
-    }
-
-    /// A clean-depth skip elides a whole base-case solve — but the solve
-    /// it elides once *learnt* clauses, and (in a seeded lineage) pooled
-    /// them. Replay that capital: materialize exactly the frames and
-    /// property cone the skipped query would have built, so the base
-    /// solver's clause-addition history — and hence its [`BaseTag`] —
-    /// reaches the same point a cold session's query start would, then
-    /// import every pool entry exported at that tag. The skip stays a
-    /// skip (no solver call, no conflict budget spent); only the skipped
-    /// solve's learnt clauses come back, warm-starting the first query
-    /// past the clean frontier.
-    fn replay_skipped_base(&mut self, ok: ExprRef, k: usize) {
-        if self.pool_seed(Dir::Base).is_none() {
-            return;
-        }
-        self.ensure_frames_dir(Dir::Base, k);
-        let _bad = self.base.lit_at(k, ok);
-        // Records the tag and imports matching base entries; the mark is
-        // dropped — nothing is solved, so there is nothing to export.
-        let _ = self.pool_pre(Dir::Base);
     }
 
     /// Bounded reachability without trace extraction: the earliest cycle
@@ -1349,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn clause_pool_warm_starts_clean_skips_and_stays_sound() {
+    fn seed_warm_starts_clean_skips_and_stays_sound() {
         let mut ctx = Context::new();
         let ts = bounded_accumulator(&mut ctx);
         let s = ctx.find_symbol("s").unwrap();
@@ -1359,31 +1208,37 @@ mod tests {
         let seed = SessionSeed::for_design(&ctx, &ts);
         let config = CheckConfig { seed: Some(Arc::clone(&seed)), ..Default::default() };
 
-        // Cold session: solves every base case, publishing glue + tags.
-        let cold_stats = {
+        // Cold session: solves every base case and publishes the clean
+        // depths into the seed when it drops.
+        {
             let mut s = ProofSession::new(&ctx, &ts, config.clone());
             assert!(s.bmc_check(&prop, 12).is_clean());
-            *s.stats()
-        };
-        assert!(cold_stats.pool_clauses_exported > 0, "multiplier queries must learn glue");
-        assert!(seed.pool().stats().exports > 0);
-        assert!(seed.pool().approx_bytes() > 0, "pool bytes count toward the seed footprint");
+            assert_eq!(s.stats().clean_seed_hits, 0);
+        }
 
-        // Warm session: every base case is clean-skipped, yet the skipped
-        // solves' learnt clauses are replayed through the pool.
+        // Warm session: every base case is clean-skipped, and a skip is a
+        // pure skip: no solver call at all.
         let mut warm = ProofSession::new(&ctx, &ts, config.clone());
         assert!(warm.bmc_check(&prop, 12).is_clean());
         assert!(warm.stats().clean_seed_hits >= 12, "cycles skipped from the seed");
-        assert!(warm.stats().pool_clauses_imported > 0, "skips must replay pooled clauses");
-        assert!(warm.stats().pool_hits > 0);
+        assert_eq!(warm.stats().solver_calls, 0, "skipped base cases issue no query");
+        let warm_prove = warm.prove(&prop);
         drop(warm);
 
-        // Pool-disabled control: same verdict, no pool traffic.
-        let off = CheckConfig { clause_pool: crate::engine::PoolScope::Off, ..config };
-        let mut control = ProofSession::new(&ctx, &ts, off);
+        // Unseeded control: same verdicts.
+        let cold = CheckConfig { seed: None, ..config };
+        let mut control = ProofSession::new(&ctx, &ts, cold);
         assert!(control.bmc_check(&prop, 12).is_clean());
-        assert_eq!(control.stats().pool_clauses_imported, 0);
-        assert_eq!(control.stats().pool_clauses_exported, 0);
+        assert_eq!(control.stats().clean_seed_hits, 0);
+        match (warm_prove, control.prove(&prop)) {
+            (ProveResult::Proven { k: a, .. }, ProveResult::Proven { k: b, .. }) => {
+                assert_eq!(a, b)
+            }
+            (ProveResult::StepFailure { k: a, .. }, ProveResult::StepFailure { k: b, .. }) => {
+                assert_eq!(a, b)
+            }
+            other => panic!("seeded and unseeded prove diverged: {other:?}"),
+        }
     }
 
     #[test]

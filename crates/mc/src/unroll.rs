@@ -333,18 +333,6 @@ impl<'c> Unroller<'c> {
         }
     }
 
-    /// The window stamp of frame `k`, if it was template-stamped (`None`
-    /// for DAG-walked frames or frames that do not exist yet). The clause
-    /// pool reads these to build its frame-layout tables.
-    pub fn frame_stamp(&self, k: usize) -> Option<&FrameStamp> {
-        self.stamps.get(k).and_then(|s| s.as_ref())
-    }
-
-    /// The template backing stamped frames, if one was built or supplied.
-    pub fn template(&self) -> Option<&Arc<Template>> {
-        self.template.as_ref()
-    }
-
     /// Access to the underlying bit-blaster (for solving and models).
     pub fn blaster_mut(&mut self) -> &mut BitBlaster {
         &mut self.bb

@@ -22,7 +22,7 @@
 //!       └─ session.extend.{base,step}   (frame unrolls)
 //!       └─ portfolio.probe → solve.probe
 //!       └─ portfolio.race
-//!          └─ portfolio.epoch | portfolio.wall_clock → solve.{base,step}
+//!          └─ portfolio.epoch → solve.{base,step}
 //!       └─ solve.{base,step}  (individual solver calls)
 //! ```
 //!

@@ -32,30 +32,24 @@
 //!   queries finish inside the probe, costing *zero* overhead versus a
 //!   single solver; only queries that blow the budget — exactly the
 //!   variance-prone tail the portfolio exists for — are raced.
-//! * **Deterministic epochs** ([`PortfolioConfig::deterministic`] =
-//!   `true`, the default): the workers run one after another on the
+//! * **Deterministic epochs**: the workers run one after another on the
 //!   caller's thread, each for one conflict-budget epoch at a time, and
-//!   the budget grows geometrically between epochs. Each epoch visits the
-//!   workers in order of least conflicts spent so far (ties to the lowest
-//!   index), and the first worker to reach a verdict wins. No thread is
-//!   spawned, so fixed seeds give bit-reproducible winner statistics — and
-//!   a reproducible solver state for every query that follows.
-//! * **Wall-clock race** (`deterministic = false`): one thread per
-//!   worker, each with the full budget at once; the first verdict over
-//!   the first-winner channel cancels the rest through a shared interrupt
-//!   flag ([`genfv_sat::Solver::set_interrupt`]). Lowest latency on idle
-//!   cores, but the winner's identity (and therefore its statistics)
-//!   depends on OS scheduling.
+//!   the budget grows geometrically between epochs
+//!   ([`PortfolioConfig::epoch_start`], [`PortfolioConfig::epoch_growth`]).
+//!   Each epoch visits the workers in order of least conflicts spent so
+//!   far (ties to the lowest index), and the first worker to reach a
+//!   verdict wins. No thread is spawned, so fixed seeds give
+//!   bit-reproducible winner statistics — and a reproducible solver
+//!   state for every query that follows.
 //!
 //! ## Picking worker counts
 //!
 //! Workers multiply CPU use for the raced queries only. 3-4 workers
 //! capture most of the variance win (the jitter table cycles through the
 //! highest-leverage knobs first); beyond ~6 the marginal worker mostly
-//! duplicates an existing configuration's behaviour. The deterministic
-//! ladder never adds a thread. When a wall-clock portfolio runs inside an
-//! already-parallel stage (e.g. the service's worker pool), keep `workers
-//! × service workers` within the machine's core count.
+//! duplicates an existing configuration's behaviour. The ladder never
+//! adds a thread, so a portfolio is safe inside an already-parallel
+//! stage such as the service's worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,8 +2,6 @@
 
 use genfv_obs::{Counter, Obs, QueryKind};
 use genfv_sat::{Lit, QueryEffort, RestartPolicy, SolveResult, Solver, SolverConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 
 /// Portfolio scheduling knobs.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,15 +18,10 @@ pub struct PortfolioConfig {
     /// anything. Queries that finish inside the probe pay zero portfolio
     /// overhead; only the heavy tail is raced. `None` races every query.
     pub probe_conflicts: Option<u64>,
-    /// `true` (default): lock-step conflict-budget epochs with a
-    /// deterministic winner (reproducible stats and solver state).
-    /// `false`: wall-clock race with first-winner cancellation (lowest
-    /// latency, scheduler-dependent winner identity).
-    pub deterministic: bool,
-    /// First epoch's per-worker conflict budget (deterministic mode).
+    /// First epoch's per-worker conflict budget.
     pub epoch_start: u64,
     /// Multiplier applied to the epoch budget after each winnerless
-    /// epoch (deterministic mode).
+    /// epoch.
     pub epoch_growth: u64,
     /// Import the losers' freshly-learnt glue clauses into the winner
     /// before it replaces the parent, so every worker's discoveries
@@ -59,7 +52,6 @@ impl Default for PortfolioConfig {
             workers: 2,
             seed: 0x5EED_0F0E,
             probe_conflicts: Some(2000),
-            deterministic: true,
             epoch_start: 16000,
             epoch_growth: 4,
             share_glue: true,
@@ -131,8 +123,7 @@ pub struct RaceOutcome {
     /// The winning worker's effort; the winner's solver replaced the
     /// parent, so its model/core are what the caller reads.
     pub winner: WorkerStats,
-    /// Lock-step epochs executed (0 for probe-settled or wall-clock
-    /// races).
+    /// Lock-step epochs executed (0 for probe-settled queries).
     pub epochs: u64,
     /// Workers that reached a verdict.
     pub finishers: usize,
@@ -255,11 +246,8 @@ impl Portfolio {
         let mut baselines: Vec<QueryEffort> = pool.iter().map(baseline).collect();
         baselines[0] = base0;
 
-        let (winner_idx, result, epochs, finishers) = if self.config.deterministic {
-            self.race_epochs(&mut pool, &baselines, assumptions, budget, &obs)
-        } else {
-            self.race_wall_clock(&mut pool, &baselines, assumptions, budget, &obs)
-        };
+        let (winner_idx, result, epochs, finishers) =
+            self.race_epochs(&mut pool, &baselines, assumptions, budget, &obs);
 
         // --- share the losers' fresh glue into the winner -----------------
         let mut glue_imported = 0usize;
@@ -287,7 +275,6 @@ impl Portfolio {
         let mut winner = spent_since(&pool[winner_idx], baselines[winner_idx]);
         winner.worker = winner_idx;
         *solver = pool.swap_remove(winner_idx);
-        solver.set_interrupt(None);
         if !(self.config.adopt_winner && winner_idx != 0) {
             solver.reconfigure(base_config);
         }
@@ -302,9 +289,9 @@ impl Portfolio {
         }
     }
 
-    /// Deterministic discipline: a sequential conflict-budget ladder.
-    /// Each epoch visits the workers in order of least conflicts spent so
-    /// far (ties to the lowest index — the jittered clones run before the
+    /// The race itself: a sequential conflict-budget ladder. Each epoch
+    /// visits the workers in order of least conflicts spent so far (ties
+    /// to the lowest index — the jittered clones run before the
     /// probe-warmed parent), gives each up to the epoch budget, and stops
     /// at the *first* finisher. Everything — winner identity, winner
     /// statistics, and every loser's solver state — is a pure function of
@@ -312,9 +299,7 @@ impl Portfolio {
     /// bit on any machine. The ladder also never oversubscribes the CPU:
     /// racing costs at most one epoch-round more than the winner's own
     /// search, which is what makes portfolio mode safe to enable inside
-    /// already-parallel stages (and on small machines). Use the
-    /// wall-clock discipline when minimum latency on idle cores matters
-    /// more than reproducibility.
+    /// already-parallel stages (and on small machines).
     fn race_epochs(
         &self,
         pool: &mut [Solver],
@@ -352,58 +337,6 @@ impl Portfolio {
                 return (0, SolveResult::Unknown, epochs, 0);
             }
             epoch_budget = epoch_budget.saturating_mul(self.config.epoch_growth.max(2));
-        }
-    }
-
-    /// Wall-clock discipline: every worker gets its full remaining budget
-    /// at once; the first verdict over the first-winner channel trips a
-    /// shared interrupt flag that stops the losers at their next
-    /// conflict. Lowest latency; winner identity is scheduler-dependent.
-    fn race_wall_clock(
-        &self,
-        pool: &mut [Solver],
-        baselines: &[QueryEffort],
-        assumptions: &[Lit],
-        budget: Option<u64>,
-        obs: &Obs,
-    ) -> (usize, SolveResult, u64, usize) {
-        let _span = obs.span("portfolio.wall_clock");
-        let flag = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<(usize, SolveResult)>();
-        std::thread::scope(|scope| {
-            for (idx, (s, &b)) in pool.iter_mut().zip(baselines).enumerate() {
-                let tx = tx.clone();
-                let flag = Arc::clone(&flag);
-                s.set_interrupt(Some(Arc::clone(&flag)));
-                scope.spawn(move || {
-                    let remaining = match budget {
-                        Some(total) => total.saturating_sub(spent_since(s, b).conflicts),
-                        None => u64::MAX,
-                    };
-                    if remaining == 0 {
-                        let _ = tx.send((idx, SolveResult::Unknown));
-                        return;
-                    }
-                    if remaining != u64::MAX {
-                        s.set_conflict_budget(remaining);
-                    }
-                    let r = s.solve_with_assumptions(assumptions);
-                    if r != SolveResult::Unknown {
-                        flag.store(true, Ordering::Relaxed);
-                    }
-                    let _ = tx.send((idx, r));
-                });
-            }
-            drop(tx);
-        });
-        for s in pool.iter_mut() {
-            s.set_interrupt(None);
-        }
-        let arrival: Vec<(usize, SolveResult)> = rx.try_iter().collect();
-        let finishers = arrival.iter().filter(|(_, r)| *r != SolveResult::Unknown).count();
-        match arrival.iter().find(|(_, r)| *r != SolveResult::Unknown) {
-            Some(&(idx, r)) => (idx, r, 0, finishers),
-            None => (0, SolveResult::Unknown, 0, 0),
         }
     }
 }
@@ -531,16 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_mode_agrees_on_the_verdict() {
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 7);
-        let cfg = PortfolioConfig { deterministic: false, ..race_config() };
-        let out = Portfolio::new(cfg).race(&mut s, &[], None);
-        assert_eq!(out.result, SolveResult::Unsat);
-        assert!(out.finishers >= 1);
-    }
-
-    #[test]
     fn glue_sharing_imports_losers_clauses() {
         let mut s = Solver::new();
         pigeonhole(&mut s, 8);
@@ -595,16 +518,6 @@ mod tests {
         assert_ne!(b.var_decay, c.var_decay);
         assert_ne!(b.phase_jitter_seed, c.phase_jitter_seed);
         assert_eq!(b, worker_config(&base, 42, 1), "pure function of (seed, worker)");
-    }
-
-    #[test]
-    fn wall_clock_mode_ignores_cube_depth() {
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 7);
-        let cfg = PortfolioConfig { deterministic: false, cube_depth: 2, ..race_config() };
-        let out = Portfolio::new(cfg).race(&mut s, &[], None);
-        assert_eq!(out.result, SolveResult::Unsat);
-        assert!(out.raced && out.finishers >= 1);
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //! * activation-literal helpers ([`ActivationGroup`]) for guarding and
 //!   retracting hypotheses on a long-lived solver without losing learnt
 //!   clauses — the substrate of the model checker's incremental proof
-//!   sessions, and
-//! * a persistent, relocatable learnt-clause pool ([`ClausePool`]) that
-//!   carries low-LBD glue across solvers, queries, and sessions.
+//!   sessions.
 //!
 //! The public entry point is [`Solver`]. Variables are created with
 //! [`Solver::new_var`], clauses added with [`Solver::add_clause`], and
@@ -47,13 +45,11 @@ pub mod assume;
 pub mod clause;
 pub mod dimacs;
 pub mod lit;
-pub mod pool;
 pub mod solver;
 pub mod tseitin;
 
 pub use assume::ActivationGroup;
 pub use clause::{Clause, ClauseBlock, ClauseRef};
 pub use lit::{Lit, Var};
-pub use pool::{BaseTag, ClausePool, PoolConfig, PoolStats, StepTables};
 pub use solver::{QueryEffort, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};
 pub use tseitin::CnfBuilder;

@@ -103,18 +103,6 @@ impl Default for SolverConfig {
     }
 }
 
-/// FNV-1a fold of one `u64` into a running hash (see
-/// [`Solver::problem_hash`]).
-#[inline]
-fn fnv_fold(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// SplitMix64-style hash bit used for deterministic phase jitter.
 fn jitter_bit(seed: u64, index: usize) -> bool {
     let mut z = seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -382,17 +370,8 @@ pub struct Solver {
     reductions: u64,
     /// Optional per-call conflict budget (None = unlimited).
     conflict_budget: Option<u64>,
-    /// Running FNV-1a hash over every problem clause / template block
-    /// added so far, folded *before* level-0 simplification so two
-    /// solvers that received the same addition sequence hash identically
-    /// even when learnt units made their simplified clause sets diverge.
-    /// `(num_vars, problem_hash)` identifies a solver's problem-clause
-    /// prefix; the persistent clause pool keys exported base-direction
-    /// clauses on it.
-    problem_hash: u64,
     /// Cooperative cancellation: when the flag is set, the current solve
-    /// call returns [`SolveResult::Unknown`] at its next conflict. Shared
-    /// between portfolio workers so the first winner stops the losers.
+    /// call returns [`SolveResult::Unknown`] at its next conflict.
     interrupt: Option<Arc<AtomicBool>>,
     /// Observability handle (spans + per-solve profiling). Defaults to
     /// off (one branch per solve); clones share the parent's handle so
@@ -445,7 +424,6 @@ impl Solver {
             next_reduce,
             reductions: 0,
             conflict_budget: None,
-            problem_hash: 0xcbf2_9ce4_8422_2325,
             interrupt: None,
             obs: Obs::off(),
             obs_kind: QueryKind::default(),
@@ -544,9 +522,8 @@ impl Solver {
 
     /// Installs (or clears) a cooperative cancellation flag: while the
     /// flag reads `true`, any in-flight solve call returns
-    /// [`SolveResult::Unknown`] at its next conflict. The portfolio layer
-    /// shares one flag across all workers racing a query so the first
-    /// winner stops the losers.
+    /// [`SolveResult::Unknown`] at its next conflict, so another thread
+    /// (e.g. a deadline watchdog) can stop a long search.
     pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
         self.interrupt = flag;
     }
@@ -576,7 +553,7 @@ impl Solver {
     /// exactly where the parent's are.
     pub fn clone_with_config(&self, config: SolverConfig) -> Solver {
         let mut clone = self.clone();
-        clone.interrupt = None; // cancellation wiring is per-worker, not inherited
+        clone.interrupt = None; // cancellation wiring is per-solver, not inherited
         clone.reconfigure(config);
         // No capacity trimming needed here: `Vec::clone` allocates
         // exactly `len`, so the clone is already tight — the parent's
@@ -660,18 +637,6 @@ impl Solver {
         let mut ls: Vec<Lit> = lits.into_iter().collect();
         ls.sort_unstable();
         ls.dedup();
-        if !learnt {
-            // Fold the canonical (sorted, deduplicated) clause into the
-            // problem hash before any value-dependent simplification:
-            // solvers that received the same addition sequence must hash
-            // identically even when imported learnt units made their
-            // *simplified* clause sets diverge.
-            let mut h = fnv_fold(self.problem_hash, ls.len() as u64);
-            for &l in &ls {
-                h = fnv_fold(h, l.code() as u64);
-            }
-            self.problem_hash = h;
-        }
         // Tautology / level-0 simplification.
         let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
         let mut i = 0;
@@ -726,13 +691,6 @@ impl Solver {
     /// addition.
     pub fn load_template(&mut self, block: &ClauseBlock) -> (usize, bool) {
         debug_assert_eq!(self.decision_level(), 0, "templates load at level 0");
-        // A cheap block summary keeps the problem hash O(1) per stamp
-        // while still distinguishing different templates and positions.
-        let mut h = fnv_fold(self.problem_hash, block.num_vars() as u64);
-        h = fnv_fold(h, block.num_clauses() as u64);
-        h = fnv_fold(h, block.num_lits() as u64);
-        h = fnv_fold(h, block.units().len() as u64);
-        self.problem_hash = h;
         self.obs.record_template_load(block.num_clauses() as u64);
         let base = self.new_vars(block.num_vars() as usize);
         if !self.ok {
@@ -918,17 +876,6 @@ impl Solver {
     /// even without assumptions.
     pub fn last_core(&self) -> &[Lit] {
         &self.core
-    }
-
-    /// Running FNV-1a hash over the problem clauses added so far (clauses
-    /// in canonical order, folded before level-0 simplification, plus a
-    /// summary per loaded template block). Together with
-    /// [`Solver::num_vars`] this identifies the solver's problem-clause
-    /// prefix: two solvers with equal `(num_vars, problem_hash)` received
-    /// the same additions in the same order (w.h.p.), so clauses learnt
-    /// by one are sound in the other.
-    pub fn problem_hash(&self) -> u64 {
-        self.problem_hash
     }
 
     // ------------------------------------------------------------------
@@ -1863,31 +1810,6 @@ mod tests {
         assert!(s.solve().is_unsat());
         assert!(c.solve().is_unsat());
         assert_eq!(s.stats().conflicts, c.stats().conflicts, "shrink changes no search state");
-    }
-
-    #[test]
-    fn problem_hash_tracks_additions_not_simplification() {
-        let mut a = Solver::new();
-        let mut b = Solver::new();
-        let va = lits(&mut a, 3);
-        let vb = lits(&mut b, 3);
-        assert_eq!(a.problem_hash(), b.problem_hash(), "empty solvers agree");
-        a.add_clause([va[0], va[1]]);
-        b.add_clause([vb[0], vb[1]]);
-        assert_eq!(a.problem_hash(), b.problem_hash());
-        // A learnt import changes simplification state but not the hash…
-        let h = b.problem_hash();
-        b.import_learnt(&[vb[2]]);
-        assert_eq!(b.problem_hash(), h, "learnt clauses never touch the problem hash");
-        // …so the *next* identical problem clause still folds identically
-        // even though b simplifies it against the learnt unit.
-        a.add_clause([va[1], va[2]]);
-        b.add_clause([vb[1], vb[2]]);
-        assert_eq!(a.problem_hash(), b.problem_hash());
-        // Different additions diverge.
-        a.add_clause([!va[0]]);
-        b.add_clause([!vb[1]]);
-        assert_ne!(a.problem_hash(), b.problem_hash());
     }
 
     #[test]

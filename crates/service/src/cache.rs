@@ -6,7 +6,7 @@
 //! requests. The service keeps both behind one key — the request's
 //! [`design_hash`](crate::DesignInput::design_hash) — as a
 //! [`CacheEntry`]: the shared [`PreparedDesign`] and the design's
-//! [`SessionSeed`] (template + clean-depth pool, see `genfv-mc`). Repeat
+//! [`SessionSeed`] (template + clean depths, see `genfv-mc`). Repeat
 //! traffic skips preparation entirely and every session it starts adopts
 //! the seed, reusing the template and the already-proven base-case
 //! depths.

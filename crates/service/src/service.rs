@@ -187,18 +187,6 @@ pub struct ServiceStats {
     /// State registers dropped (stuck-at folding plus cone-of-influence
     /// reduction), summed over cold prepares.
     pub opt_states_dropped: u64,
-    /// Learnt clauses replayed from cached clause pools into job
-    /// sessions, summed over completed jobs.
-    pub pool_clauses_imported: u64,
-    /// Learnt clauses job sessions published into cached clause pools,
-    /// summed over completed jobs.
-    pub pool_clauses_exported: u64,
-    /// Pool imports that yielded at least one clause, summed over
-    /// completed jobs.
-    pub pool_hits: u64,
-    /// Clause-pool entries evicted under pool byte budgets, summed over
-    /// completed jobs.
-    pub pool_evictions: u64,
     /// Submit→start wait per job, log₂-bucketed in microseconds. Recorded
     /// for every job regardless of [`ServiceConfig::obs`] — this is the
     /// latency the flow-level `run_time` never sees.
@@ -230,10 +218,6 @@ impl ServiceStats {
         prom_counter(&mut out, "genfv_templates_reused_total", "", self.templates_reused);
         prom_counter(&mut out, "genfv_opt_nodes_removed_total", "", self.opt_nodes_removed);
         prom_counter(&mut out, "genfv_opt_states_dropped_total", "", self.opt_states_dropped);
-        prom_counter(&mut out, "genfv_pool_clauses_imported_total", "", self.pool_clauses_imported);
-        prom_counter(&mut out, "genfv_pool_clauses_exported_total", "", self.pool_clauses_exported);
-        prom_counter(&mut out, "genfv_pool_hits_total", "", self.pool_hits);
-        prom_counter(&mut out, "genfv_pool_evictions_total", "", self.pool_evictions);
         prom_histogram(&mut out, "genfv_queue_wait_seconds", "", &self.queue_wait, 1e-6);
         self.metrics.render_prometheus(&mut out);
         out
@@ -254,10 +238,6 @@ struct AtomicStats {
     templates_reused: AtomicU64,
     opt_nodes_removed: AtomicU64,
     opt_states_dropped: AtomicU64,
-    pool_clauses_imported: AtomicU64,
-    pool_clauses_exported: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_evictions: AtomicU64,
     queue_wait: AtomicHistogram,
     /// Per-job obs metrics folded service-wide (empty with obs off).
     metrics: Mutex<MetricsSnapshot>,
@@ -281,10 +261,6 @@ genfv_obs::impl_accumulate!(ServiceStats {
         templates_reused,
         opt_nodes_removed,
         opt_states_dropped,
-        pool_clauses_imported,
-        pool_clauses_exported,
-        pool_hits,
-        pool_evictions,
     ],
     merge: [queue_wait, metrics],
 });
@@ -528,10 +504,6 @@ impl VerificationService {
             templates_reused: s.templates_reused.load(Ordering::Relaxed),
             opt_nodes_removed: s.opt_nodes_removed.load(Ordering::Relaxed),
             opt_states_dropped: s.opt_states_dropped.load(Ordering::Relaxed),
-            pool_clauses_imported: s.pool_clauses_imported.load(Ordering::Relaxed),
-            pool_clauses_exported: s.pool_clauses_exported.load(Ordering::Relaxed),
-            pool_hits: s.pool_hits.load(Ordering::Relaxed),
-            pool_evictions: s.pool_evictions.load(Ordering::Relaxed),
             queue_wait: s.queue_wait.snapshot(),
             metrics: s.metrics.lock().unwrap().clone(),
         }
@@ -699,21 +671,24 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
     }
     let design = &entry.design;
 
-    let started = Instant::now();
     let llm = job.llm.as_deref_mut();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let _job_span = obs.span_with("job", || design.name.clone());
-        match job.mode {
+        // Timed inside the `job` span, so the span's own set-up (a fresh
+        // trace buffer per job) is not part of `run_time` and a traced
+        // job's self time adds up to it.
+        let started = Instant::now();
+        let report = match job.mode {
             CorpusMode::Baseline => run_baseline(design, &flow),
             CorpusMode::Flow1 => run_flow1((**design).clone(), llm.unwrap(), &flow),
             CorpusMode::Flow2 => run_flow2((**design).clone(), llm.unwrap(), &flow),
             CorpusMode::Combined => run_combined((**design).clone(), llm.unwrap(), &flow),
-        }
+        };
+        (report, started.elapsed())
     }));
-    let run_time = started.elapsed();
 
     match outcome {
-        Ok(flow_report) => {
+        Ok((flow_report, run_time)) => {
             for target in &flow_report.targets {
                 let _ = job.tx.send(JobEvent::TargetVerdict {
                     job: job.id,
@@ -724,16 +699,6 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
             let solver = &flow_report.metrics.solver;
             shared.stats.clean_seed_hits.fetch_add(solver.clean_seed_hits, Ordering::Relaxed);
             shared.stats.templates_reused.fetch_add(solver.templates_reused, Ordering::Relaxed);
-            shared
-                .stats
-                .pool_clauses_imported
-                .fetch_add(solver.pool_clauses_imported, Ordering::Relaxed);
-            shared
-                .stats
-                .pool_clauses_exported
-                .fetch_add(solver.pool_clauses_exported, Ordering::Relaxed);
-            shared.stats.pool_hits.fetch_add(solver.pool_hits, Ordering::Relaxed);
-            shared.stats.pool_evictions.fetch_add(solver.pool_evictions, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             let obs_report = obs.report();
             if let Some(r) = &obs_report {
@@ -931,6 +896,29 @@ endmodule
         assert!(text.contains("genfv_queue_wait_seconds_bucket"), "{text}");
         assert!(text.contains("genfv_solve_latency_seconds_bucket"), "{text}");
         assert!(text.contains("genfv_queue_wait_seconds_count 2"), "{text}");
+    }
+
+    #[test]
+    fn job_span_covers_run_time() {
+        let svc =
+            VerificationService::build(ServiceConfig::default().with_obs(ObsConfig::Full), false);
+        let handle = svc.submit(baseline(source("a", "c == c"))).unwrap();
+        {
+            svc.shared.queue.lock().unwrap().closed = true;
+        }
+        svc.run_inline();
+        let report = handle.wait().unwrap();
+        let events = report.obs.expect("traced job").events;
+        let ts = |phase: genfv_obs::Phase| {
+            events.iter().find(|e| e.name == "job" && e.phase == phase).expect("job span").ts
+        };
+        // µs timestamps truncate, so the span can read up to 1 µs short.
+        let span_us = ts(genfv_obs::Phase::End) - ts(genfv_obs::Phase::Begin) + 1;
+        assert!(
+            u128::from(span_us) >= report.run_time.as_micros(),
+            "job span {span_us} µs is shorter than run_time {:?}",
+            report.run_time
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 # DAG-walk frame encodings, e11 races a warm (session-cached) vs cold
 # verification service on repeat traffic, e12 races OptLevel::Full vs
 # OptLevel::None prepares (exits nonzero on any verdict regression or if
-# the datapath designs stop shrinking), e13 races cold vs clause-pooled
-# deep-induction sessions behind a portfolio (exits nonzero on any
-# verdict divergence or zero pool hits), e14 races warm service traffic with
+# the datapath designs stop shrinking), e14 races warm service traffic with
 # tracing Off vs Full (exits nonzero if Full overhead exceeds 5% or the
 # exported Chrome trace fails its schema check), e15 races
 # OptLevel::SatSweep vs OptLevel::Full prepares (exits nonzero on any
@@ -38,8 +36,6 @@ GENFV_BENCH_JSON=target/ci-BENCH_service.json \
     cargo run --release -p genfv-bench --bin e11_service -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_opt.json \
     cargo run --release -p genfv-bench --bin e12_opt -- --quick
-GENFV_BENCH_JSON=target/ci-BENCH_cube.json \
-    cargo run --release -p genfv-bench --bin e13_cube -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_obs.json \
     cargo run --release -p genfv-bench --bin e14_obs -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_satsweep.json \
