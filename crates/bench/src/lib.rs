@@ -3,8 +3,8 @@
 //! One binary per experiment (run with
 //! `cargo run --release -p genfv-bench --bin <name>`). E1–E7 reproduce
 //! the paper's tables and figures with the synthetic LLM of
-//! `genfv-genai` (its crate docs give the substitution argument); the
-//! rest measure one mechanism of the stack each:
+//! `genfv-genai` (its crate docs give the substitution argument); E14
+//! gates tracing overhead:
 //!
 //! | binary | experiment | paper artefact |
 //! |---|---|---|
@@ -15,19 +15,18 @@
 //! | `e5_model_comparison` | E5 | Section V: GPT-4-class > Llama/Gemini |
 //! | `e6_ablations` | E6 | validation-layer ablations |
 //! | `e7_k_sweep` | E7 | Section II-A: lemmas lower the induction depth |
-//! | `e8_incremental_sessions` | E8 | incremental sessions vs rebuild-per-query |
-//! | `e9_portfolio` | E9 | portfolio racing vs single-solver sessions |
-//! | `e10_template_unroll` | E10 | template-stamped vs DAG-walk frame encoding |
-//! | `e11_service` | E11 | warm session-cached vs cold verification service |
-//! | `e12_opt` | E12 | prepare-time netlist optimization vs `OptLevel::None` |
 //! | `e14_obs` | E14 | observability overhead gate (Off vs Full tracing) |
-//! | `e15_satsweep` | E15 | `OptLevel::SatSweep` vs `OptLevel::Full` CNF size and flow cost |
 //!
 //! The `trace` binary is not an experiment: it runs one design/flow with
 //! full tracing and writes a Perfetto-loadable `trace.json` plus a
 //! human-readable span tree (see `scripts/trace.sh`).
 //!
-//! Criterion timing groups live in `benches/paper_benches.rs`.
+//! Throughput is measured in one place, the `e0_ledger` benchmark at the
+//! repository root, over service traffic with a per-layer self-time
+//! ledger; `e0_ledger --ablate <mechanism>` prices one mechanism at a
+//! time. The verdict gates of the retired A-vs-B harnesses (E8–E12, E15)
+//! live on in the differential suites under `crates/designs/tests` and
+//! `crates/service/tests`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -185,9 +185,9 @@ impl FlowConfig {
 
     /// This configuration with every session unroller — candidate
     /// validation, Houdini, and target proofs — encoding frames in
-    /// `mode`. Template stamping is the default; the template-vs-DAG-walk
-    /// bench (`e10_template_unroll`) uses this to run the identical flow
-    /// on both encodings.
+    /// `mode`. Template stamping is the default; `template_differential.rs`
+    /// in `genfv-designs` uses this to run the identical flow on both
+    /// encodings.
     pub fn with_unroll_mode(mut self, mode: UnrollMode) -> Self {
         self.validate.check.unroll_mode = mode;
         self.check.unroll_mode = mode;

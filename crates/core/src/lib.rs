@@ -34,15 +34,17 @@
 //! [`genfv_mc::EngineMode::RebuildPerQuery`]
 //! (selectable through [`ValidateConfig::engine`] /
 //! [`FlowConfig::with_engine`]) as the reference for the corpus
-//! differential suite and the `e8_incremental_sessions` benchmark; both
+//! differential suite (`session_differential.rs` in `genfv-designs`); both
 //! modes produce identical verdicts, the incremental one just gets there
-//! without re-bit-blasting. Solver-reuse counters surface in
+//! without re-bit-blasting (`e0_ledger --ablate rebuild` prices the
+//! difference on service traffic). Solver-reuse counters surface in
 //! [`FlowMetrics::solver`].
 //!
 //! **Portfolio solving and corpus scheduling.** Any session query can be
 //! answered by racing jittered solver configurations on clones of the
 //! loaded clause database ([`FlowConfig::with_portfolio`], implemented in
-//! `genfv-portfolio` and benchmarked by `e9_portfolio`), and whole design
+//! `genfv-portfolio`, checked against single-solver sessions by
+//! `portfolio_differential.rs` in `genfv-designs`), and whole design
 //! corpora distribute over the persistent worker pool of the
 //! `genfv-service` crate's `VerificationService` (driven by
 //! [`CorpusConfig`]; `genfv_service::run_corpus` is the synchronous

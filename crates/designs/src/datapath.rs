@@ -4,8 +4,8 @@
 //! shift-and-add multiplier) inside induction proofs that close at k=1:
 //! the solver work per query is moderate, so the *encoding* of the
 //! transition relation is a first-order cost — exactly the workload the
-//! template-stamped unroller (`UnrollMode::Template`) exists for, and the
-//! backbone of the `e10_template_unroll` deep-unroll measurement.
+//! template-stamped unroller (`UnrollMode::Template`) exists for, and part
+//! of `template_differential.rs`'s deep-unroll checks.
 
 use crate::{DesignBundle, Expectation};
 
@@ -16,8 +16,9 @@ use crate::{DesignBundle, Expectation};
 /// `OptLevel::None` the proof genuinely compares two multipliers. The
 /// `genfv_ir::opt` factoring rewrite (`a*b + b → (a+1)*b`) collapses the
 /// two next-state cones into one shared multiplier, which is exactly the
-/// CNF reduction the `e12_opt` benchmark measures. The property is a pure
-/// register comparison, so both registers stay in the cone of influence.
+/// CNF reduction `opt_differential::full_opt_shrinks_datapath_cnf` pins.
+/// The property is a pure register comparison, so both registers stay in
+/// the cone of influence.
 pub fn mul_incr() -> DesignBundle {
     DesignBundle {
         name: "mul_incr",

@@ -236,7 +236,8 @@ fn opt_level_salts_isolate_session_seeds() {
 /// datapath design the per-frame CNF (the transition template with the
 /// targets as extra roots, the cost every stamped frame pays) has fewer
 /// variables and fewer clauses at `OptLevel::Full` than at
-/// `OptLevel::None`. This is `e12_opt`'s "datapath CNF must shrink" gate.
+/// `OptLevel::None`. This is the "datapath CNF must shrink" gate of the
+/// retired `e12_opt` harness.
 #[test]
 fn full_opt_shrinks_datapath_cnf() {
     use genfv_ir::Template;

@@ -14,7 +14,11 @@
 //! with the deterministic ladder discipline and fixed seeds, whole runs —
 //! winner statistics included — are bit-reproducible.
 
+use genfv_core::{run_flow2, FlowConfig};
+use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{BmcResult, CheckConfig, PortfolioConfig, ProofSession, ProveResult};
+
+mod common;
 
 /// A portfolio aggressive enough to race real queries on corpus-sized
 /// designs: tiny probe, small first epoch, three workers.
@@ -87,11 +91,12 @@ fn portfolio_prove_matches_single_solver_on_corpus() {
 
 /// The step-hard designs of the `e0_ledger` `deep_induction` workload,
 /// proved at `max_k` 12 under that workload's portfolio: every hard step
-/// query outlasts the 256-conflict probe and is raced whole. The retained
-/// `cube_depth: 2` must change nothing.
+/// query outlasts the 256-conflict probe and is raced whole. Three cheap
+/// designs ride along as a floor where little or nothing races. The
+/// retained `cube_depth: 2` must change nothing.
 #[test]
 fn deep_portfolio_prove_matches_single_solver() {
-    const STEP_HARD: [&str; 7] = [
+    const DEEP: [&str; 10] = [
         "sync_counters",
         "sync_counters_16",
         "offset_counters",
@@ -99,6 +104,9 @@ fn deep_portfolio_prove_matches_single_solver() {
         "ecc_counter",
         "fifo_counters",
         "credit_flow",
+        "secded84",
+        "div_checker",
+        "gray_counter",
     ];
     let portfolio = PortfolioConfig {
         probe_conflicts: Some(256),
@@ -109,7 +117,7 @@ fn deep_portfolio_prove_matches_single_solver() {
     let raced_cfg = CheckConfig { max_k: 12, portfolio: Some(portfolio), ..Default::default() };
     let single_cfg = CheckConfig { max_k: 12, ..Default::default() };
     let mut races = 0;
-    for name in STEP_HARD {
+    for name in DEEP {
         let design = genfv_designs::by_name(name).expect("exists").prepare().expect("prepares");
         let mut raced = ProofSession::new(&design.ctx, &design.ts, raced_cfg.clone());
         let mut single = ProofSession::new(&design.ctx, &design.ts, single_cfg.clone());
@@ -121,6 +129,43 @@ fn deep_portfolio_prove_matches_single_solver() {
         races += raced.stats().portfolio_races;
     }
     assert!(races > 0, "the deep designs must blow the probe somewhere");
+}
+
+/// Flow 2 end to end (validation gauntlet, Houdini, target proofs,
+/// CEX-driven repair) with and without the racy portfolio, under a terse
+/// and a chatty model: identical verdict classes and falsification cycles
+/// for every target. The portfolio's default probe settles every query of
+/// these flows solo, so only the racy configuration exercises races here.
+#[test]
+fn flow2_verdicts_identical_with_portfolio() {
+    let mut races = 0;
+    for profile in [ModelProfile::GptFourTurbo, ModelProfile::LlamaThree] {
+        for bundle in common::flow_designs() {
+            let single = run_flow2(
+                bundle.prepare().expect("corpus designs prepare"),
+                &mut SyntheticLlm::new(profile, 42),
+                &FlowConfig::default(),
+            );
+            let raced = run_flow2(
+                bundle.prepare().expect("corpus designs prepare"),
+                &mut SyntheticLlm::new(profile, 42),
+                &FlowConfig::default().with_portfolio(racy_portfolio()),
+            );
+            assert_eq!(single.targets.len(), raced.targets.len());
+            for (ts, tr) in single.targets.iter().zip(&raced.targets) {
+                assert_eq!(ts.name, tr.name);
+                assert_eq!(
+                    common::outcome_class(&ts.outcome),
+                    common::outcome_class(&tr.outcome),
+                    "flow outcome diverged on {}::{} under {profile:?}",
+                    bundle.name,
+                    ts.name
+                );
+            }
+            races += raced.metrics.solver.portfolio_races;
+        }
+    }
+    assert!(races > 0, "the racy portfolio must race inside the flows");
 }
 
 /// BMC over the same split: identical clean depths and violation cycles.

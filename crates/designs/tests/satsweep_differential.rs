@@ -199,11 +199,11 @@ fn flow2_verdicts_never_regress_with_sweep() {
     }
 }
 
-/// The acceptance payoff, pinned where the issue demands it: on the
-/// datapath designs the sweep's register-correspondence stage merges the
-/// shadow accumulator into the multiplier register (`nodes_merged > 0`,
-/// one state gone) and the per-frame CNF shrinks beyond what the PR 7
-/// pipeline achieves — all within the per-pair conflict budget.
+/// The sweep's payoff: on the datapath designs the register-correspondence
+/// stage merges the shadow accumulator into the multiplier register
+/// (`nodes_merged > 0`, one state gone) and the per-frame CNF shrinks
+/// beyond what the `Full` pipeline achieves. On every design, datapath
+/// and corpus alike, the sweep stays within its per-pair conflict budget.
 #[test]
 fn sweep_pays_off_on_datapath_designs() {
     use genfv_ir::Template;
@@ -211,10 +211,24 @@ fn sweep_pays_off_on_datapath_designs() {
         let roots: Vec<_> = p.targets.iter().map(|t| t.prop.ok).collect();
         Template::build_with(&p.ctx, &p.ts, &roots).num_clauses()
     };
-    for bundle in genfv_designs::datapath_designs() {
+    let budget = genfv_ir::SatSweepConfig::default().conflict_budget;
+    let datapath = genfv_designs::datapath_designs().into_iter().map(|b| (b, true));
+    let corpus = genfv_designs::all_designs().into_iter().map(|b| (b, false));
+    for (bundle, is_datapath) in datapath.chain(corpus) {
         let base = full_prep(&bundle);
         let swept = sweep_prep(&bundle);
         let stats = &swept.opt_stats;
+        // Budget discipline: every miter is capped, so total conflicts
+        // are bounded by (queries x per-pair budget).
+        let queries = stats.pairs_proved + stats.pairs_refuted;
+        assert!(
+            stats.sweep_conflicts <= queries.max(1) * budget,
+            "{}: sweep conflicts exceed the budget envelope",
+            bundle.name
+        );
+        if !is_datapath {
+            continue;
+        }
         assert!(stats.nodes_merged > 0, "{}: sweep must merge on the datapath", bundle.name);
         assert!(stats.pairs_proved > 0, "{}: merges come from proved pairs", bundle.name);
         assert!(
@@ -226,15 +240,6 @@ fn sweep_pays_off_on_datapath_designs() {
         assert!(
             cs < cf,
             "{}: per-frame CNF must shrink beyond the PR 7 pipeline ({cf} -> {cs})",
-            bundle.name
-        );
-        // Budget discipline: every miter is capped, so total conflicts
-        // are bounded by (queries x per-pair budget).
-        let queries = stats.pairs_proved + stats.pairs_refuted;
-        let budget = genfv_ir::SatSweepConfig::default().conflict_budget;
-        assert!(
-            stats.sweep_conflicts <= queries.max(1) * budget,
-            "{}: sweep conflicts exceed the budget envelope",
             bundle.name
         );
     }

@@ -12,9 +12,11 @@
 //! values of reset-initialised state signals on BMC counterexamples
 //! (those are pinned by the encoding, not chosen by the solver).
 
-use genfv_core::{run_flow2, FlowConfig, TargetOutcome};
+use genfv_core::{run_flow2, FlowConfig};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{BmcResult, CheckConfig, ProofSession, ProveResult, UnrollMode};
+
+mod common;
 
 fn cfg(mode: UnrollMode) -> CheckConfig {
     CheckConfig { max_k: 4, unroll_mode: mode, ..Default::default() }
@@ -120,10 +122,13 @@ fn template_bmc_matches_dagwalk_on_corpus() {
 
 /// Guarded hypotheses over selector literals: facts guarded at a frame,
 /// queried under different windows, then retired — the activation
-/// discipline must behave identically on stamped frames.
+/// discipline must behave identically on stamped frames. The last query
+/// opens a 64-frame free-start window with no fact in force, so every
+/// stamped clause of a deep unrolling must propagate.
 #[test]
 fn selector_guarded_facts_match_across_modes() {
-    for bundle in genfv_designs::all_designs() {
+    for bundle in genfv_designs::all_designs().into_iter().chain(genfv_designs::datapath_designs())
+    {
         let design = bundle.prepare().expect("corpus designs prepare");
         let Some(target) = design.targets.first() else { continue };
         let fact = target.prop.ok;
@@ -145,6 +150,8 @@ fn selector_guarded_facts_match_across_modes() {
             // Retired: the selector no longer forces anything.
             s.retire_selector(sel);
             verdicts.push(s.solve_under(false, 2, &[sel, !l2]).is_sat());
+            // A deep window: 64 stamped frames, every frame guard active.
+            verdicts.push(s.solve_under(false, 64, &[]).is_sat());
             verdicts
         };
         assert_eq!(
@@ -238,46 +245,71 @@ fn verdict_tag(r: &ProveResult) -> String {
     }
 }
 
-/// The observable a flow's *verdict* rests on. Induction-step
-/// counterexample values are solver-chosen and feed the repair prompt, so
-/// lemma texts and proof depths may legitimately differ between CNF
-/// encodings; verdict classes — and the deterministic cycle of a real
-/// falsification — may not.
-fn outcome_class(outcome: &TargetOutcome) -> String {
-    match outcome {
-        TargetOutcome::Proven { .. } => "proven".to_string(),
-        TargetOutcome::Falsified { at } => format!("falsified@{at}"),
-        TargetOutcome::StillUnproven { .. } => "still_unproven".to_string(),
-        TargetOutcome::Unknown { .. } => "unknown".to_string(),
+/// Unaided proofs at `max_k` 32, where every frame costs a full DAG
+/// re-walk in the reference encoding and one clause-arena stamp in
+/// template mode. Unaided proofs issue identical query sequences in both
+/// modes, so verdicts — depths and cycles included — must match exactly.
+/// The designs are the encoding-bound arithmetic checkers, the wide
+/// lockstep counters and the parity/ECC family, with `ecc_counter` as a
+/// solver-bound control. `fifo_counters` is left out: its unaided step
+/// obligations blow up past k≈20 in both encodings, which is the
+/// portfolio's territory, not the encoding's.
+#[test]
+fn deep_prove_matches_dagwalk() {
+    const DEEP: [&str; 9] = [
+        "div_checker",
+        "mul_incr",
+        "mul_distrib",
+        "sync_counters_16",
+        "hamming74",
+        "secded84",
+        "offset_counters",
+        "gray_counter",
+        "ecc_counter",
+    ];
+    let deep = |mode| CheckConfig { max_k: 32, unroll_mode: mode, ..Default::default() };
+    for name in DEEP {
+        let design = genfv_designs::by_name(name).expect("exists").prepare().expect("prepares");
+        let mut tpl_session =
+            ProofSession::new(&design.ctx, &design.ts, deep(UnrollMode::Template));
+        let mut dag_session = ProofSession::new(&design.ctx, &design.ts, deep(UnrollMode::DagWalk));
+        for target in &design.targets {
+            let t = tpl_session.prove(&target.prop);
+            let d = dag_session.prove(&target.prop);
+            assert_prove_eq(&t, &d, &format!("{name}::{} (max_k 32)", target.name));
+        }
     }
 }
 
 /// Flow 2 end to end (validation gauntlet, Houdini, target proofs,
-/// CEX-driven repair) in both unroll modes: identical verdict classes and
-/// identical falsification cycles for every target.
+/// CEX-driven repair) in both unroll modes, under a terse and a chatty
+/// model: identical verdict classes and identical falsification cycles
+/// for every target.
 #[test]
 fn flow2_verdicts_identical_across_unroll_modes() {
-    for bundle in genfv_designs::lemma_hungry_designs() {
-        let template = run_flow2(
-            bundle.prepare().expect("corpus designs prepare"),
-            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-            &FlowConfig::default().with_unroll_mode(UnrollMode::Template),
-        );
-        let dagwalk = run_flow2(
-            bundle.prepare().expect("corpus designs prepare"),
-            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-            &FlowConfig::default().with_unroll_mode(UnrollMode::DagWalk),
-        );
-        assert_eq!(template.targets.len(), dagwalk.targets.len());
-        for (tt, td) in template.targets.iter().zip(&dagwalk.targets) {
-            assert_eq!(tt.name, td.name);
-            assert_eq!(
-                outcome_class(&tt.outcome),
-                outcome_class(&td.outcome),
-                "flow outcome diverged on {}::{}",
-                bundle.name,
-                tt.name
+    for profile in [ModelProfile::GptFourTurbo, ModelProfile::LlamaThree] {
+        for bundle in common::flow_designs() {
+            let template = run_flow2(
+                bundle.prepare().expect("corpus designs prepare"),
+                &mut SyntheticLlm::new(profile, 42),
+                &FlowConfig::default().with_unroll_mode(UnrollMode::Template),
             );
+            let dagwalk = run_flow2(
+                bundle.prepare().expect("corpus designs prepare"),
+                &mut SyntheticLlm::new(profile, 42),
+                &FlowConfig::default().with_unroll_mode(UnrollMode::DagWalk),
+            );
+            assert_eq!(template.targets.len(), dagwalk.targets.len());
+            for (tt, td) in template.targets.iter().zip(&dagwalk.targets) {
+                assert_eq!(tt.name, td.name);
+                assert_eq!(
+                    common::outcome_class(&tt.outcome),
+                    common::outcome_class(&td.outcome),
+                    "flow outcome diverged on {}::{} under {profile:?}",
+                    bundle.name,
+                    tt.name
+                );
+            }
         }
     }
 }

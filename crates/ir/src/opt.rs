@@ -69,9 +69,6 @@ pub enum OptLevel {
     /// Escape hatch: run no passes at all; the system is encoded exactly
     /// as elaborated. The differential baseline.
     None,
-    /// Local rewriting and stuck-at sweep only (no rebalancing, no
-    /// cone-of-influence reduction).
-    Basic,
     /// The whole pipeline. The default.
     #[default]
     Full,
@@ -90,7 +87,6 @@ impl OptLevel {
     pub fn salt(self) -> u64 {
         match self {
             OptLevel::None => 0,
-            OptLevel::Basic => 0x9e37_79b9_7f4a_7c15,
             OptLevel::Full => 0xd1b5_4a32_d192_ed03,
             OptLevel::SatSweep => 0x94d0_49bb_1331_11eb,
         }
@@ -215,7 +211,7 @@ impl OptStats {
 
     /// One-line human summary, used in reports and service logs. The
     /// SAT-sweep counters are appended only when the sweep actually ran,
-    /// keeping `None`/`Basic`/`Full` summaries byte-stable.
+    /// keeping `None`/`Full` summaries byte-stable.
     pub fn summary(&self) -> String {
         let mut line = format!(
             "opt[{:?}] rounds={} nodes {}→{} rewrites={} rebal={} stuck={} coi={}",
@@ -294,10 +290,6 @@ impl PassManager {
         let pm = PassManager::new(max_rounds);
         match level {
             OptLevel::None => pm,
-            OptLevel::Basic => pm
-                .with_pass(Box::new(RewritePass))
-                .with_pass(Box::new(StuckAtPass))
-                .with_pass(Box::new(SweepPass)),
             OptLevel::Full => pm
                 .with_pass(Box::new(RewritePass))
                 .with_pass(Box::new(StuckAtPass))
@@ -1377,7 +1369,7 @@ mod tests {
     #[test]
     fn salts_are_distinct() {
         assert_eq!(OptLevel::None.salt(), 0);
-        let salts = [OptLevel::Basic.salt(), OptLevel::Full.salt(), OptLevel::SatSweep.salt()];
+        let salts = [OptLevel::Full.salt(), OptLevel::SatSweep.salt()];
         for (i, a) in salts.iter().enumerate() {
             assert_ne!(*a, 0);
             for b in &salts[i + 1..] {

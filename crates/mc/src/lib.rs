@@ -26,7 +26,7 @@
 //!   glue clauses) becomes the session's solver for the next query;
 //! * **a rebuild-per-query reference engine** ([`rebuild`],
 //!   [`EngineMode`]) — the pre-session architecture preserved verbatim
-//!   for differential testing and the `BENCH_incremental.json` benchmark;
+//!   as the oracle of the session differential suite;
 //! * incremental time-frame expansion with one solver per direction;
 //! * **helper-lemma support** — proven assertions are assumed at every
 //!   frame of the step case, exactly how the paper's generated lemmas

@@ -3,15 +3,12 @@
 //! This module preserves the pre-session architecture: every check builds
 //! fresh [`Unroller`]s (a full re-bit-blast plus brand-new solvers that
 //! must re-learn everything) and asserts lemmas permanently. It exists for
-//! two reasons:
-//!
-//! * **differential testing** — [`ProofSession`](crate::ProofSession) must
-//!   return identical verdicts, depths, and counterexamples; the
-//!   `session_differential` suite in `genfv-designs` pins that across the
-//!   corpus;
-//! * **benchmarking** — the `e8_incremental_sessions` bench binary runs
-//!   the Flow-2 repair loop against both engines and reports the speedup
-//!   in `BENCH_incremental.json`.
+//! **differential testing**: [`ProofSession`](crate::ProofSession) must
+//! return identical verdicts, depths, and counterexamples; the
+//! `session_differential` suite in `genfv-designs` pins that across the
+//! corpus, down to the Flow-2 repair loop under every model profile.
+//! `e0_ledger --ablate rebuild` prices the session engine's win on
+//! service traffic.
 //!
 //! Production code paths should use [`ProofSession`](crate::ProofSession)
 //! (or the thin wrappers in [`crate::engine`], which delegate to it).

@@ -13,8 +13,8 @@
 //!
 //! Eviction is plain LRU under two budgets: entry count and approximate
 //! resident bytes ([`SessionSeed::approx_bytes`]). A zero entry budget
-//! disables caching (the cold-service configuration benchmarked by
-//! `e11_service`).
+//! disables caching (the cold-service configuration that
+//! `service_differential.rs` checks warm traffic against).
 
 use genfv_core::PreparedDesign;
 use genfv_mc::SessionSeed;

@@ -33,8 +33,9 @@
 //! same-design jobs onto one worker, so repeat traffic starts warm:
 //! sessions adopt the cached `genfv_mc::SessionSeed`, reuse its
 //! transition template, and skip base cases already proven clean. The
-//! `e11_service` benchmark measures the effect; the
-//! `service_differential` suite pins that verdicts never change.
+//! `e0_ledger` benchmark's `baseline_repeat` workload measures the effect
+//! (`service.cache_hit_frac`); the `service_differential` suite pins that
+//! verdicts never change.
 //!
 //! **Backpressure is typed.** The submission queue is bounded:
 //! [`VerificationService::try_submit`] rejects over-capacity requests
