@@ -7,7 +7,7 @@
 //! [`OptLevel::None`](genfv_ir::OptLevel::None) as the escape hatch.
 
 use crate::error::Error;
-use genfv_ir::{optimize_with, Context, ExprRef, OptConfig, OptStats, TransitionSystem};
+use genfv_ir::{optimize, Context, ExprRef, OptConfig, OptStats, TransitionSystem};
 use genfv_mc::Property;
 use genfv_obs::Obs;
 use genfv_sva::PropertyCompiler;
@@ -80,7 +80,7 @@ impl PreparedDesign {
     }
 
     /// Like [`PreparedDesign::with_opt`] but recording a `prepare` span
-    /// (with nested per-pass `opt.*` spans) into the given observability
+    /// (with nested per-stage `opt.*` spans) into the given observability
     /// handle. The disabled handle makes this identical to `with_opt`.
     ///
     /// # Errors
@@ -131,7 +131,7 @@ impl PreparedDesign {
         // the pipeline keeps (and rewrites) the property cones, then
         // re-anchor each target on its rewritten root.
         let mut roots: Vec<ExprRef> = compiled.iter().map(|t| t.prop.ok).collect();
-        let opt_stats = optimize_with(&mut ctx, &mut ts, &mut roots, opt, obs);
+        let opt_stats = optimize(&mut ctx, &mut ts, &mut roots, opt, obs);
         for (target, root) in compiled.iter_mut().zip(roots) {
             target.prop.ok = root;
         }

@@ -117,7 +117,7 @@ pub struct FlowReport {
     /// Aggregate metrics.
     pub metrics: FlowMetrics,
     /// What the netlist optimization pipeline did to this design during
-    /// prepare (level, node counts, per-pass applications).
+    /// prepare (level, node counts, per-stage counts).
     pub opt: OptStats,
     /// Human-readable event log.
     pub events: Vec<String>,

@@ -239,7 +239,7 @@ impl Context {
 
     // --- unary -------------------------------------------------------------
 
-    fn unary(&mut self, op: UnaryOp, a: ExprRef) -> ExprRef {
+    pub(crate) fn unary(&mut self, op: UnaryOp, a: ExprRef) -> ExprRef {
         // Constant folding.
         if let Expr::Const(v) = self.expr(a) {
             let folded = match op {
@@ -301,7 +301,7 @@ impl Context {
         );
     }
 
-    fn binary(&mut self, op: BinaryOp, a: ExprRef, b: ExprRef) -> ExprRef {
+    pub(crate) fn binary(&mut self, op: BinaryOp, a: ExprRef, b: ExprRef) -> ExprRef {
         match op {
             BinaryOp::Concat => {}
             _ => self.expect_same_width(op, a, b),

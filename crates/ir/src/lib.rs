@@ -55,9 +55,7 @@ pub use bitblast::{BitBlaster, LitEnv};
 pub use encode::GateEncoder;
 pub use eval::{evaluate, evaluate_all, Env, Simulator};
 pub use expr::{BinaryOp, Context, Expr, ExprRef, UnaryOp};
-pub use opt::{
-    optimize, optimize_with, OptConfig, OptLevel, OptPass, OptStats, PassCount, PassManager,
-};
+pub use opt::{optimize, OptConfig, OptLevel, OptStats};
 pub use satsweep::{SatSweepConfig, SatSweepPass, SatSweepStats};
 pub use template::{FrameStamp, TRef, Template, TemplateStats};
 pub use ts::{State, TransitionSystem};

@@ -5,8 +5,10 @@
 //! portfolio races, template stamping — pays per *frame* for whatever CNF
 //! the bit-blasters emit, so shrinking the `(Context, TransitionSystem)`
 //! pair once, ahead of encoding, speeds every frame of every engine at
-//! once. The pipeline is a [`PassManager`] running [`OptPass`]es to a
-//! fixpoint:
+//! once. [`optimize`] calls the stages below as plain functions, in this
+//! order, and repeats the round until no stage fires (at most four
+//! rounds). Each stage runs under its own `opt.<stage>` span and adds its
+//! count to a typed [`OptStats`] field:
 //!
 //! 1. **`rewrite`** — pattern-driven local rewriting: identity /
 //!    annihilator folding and constant propagation (via re-interning every
@@ -38,19 +40,19 @@
 //!    stage merges lockstep registers. See [`crate::satsweep`].
 //! 6. **`sweep`** — dead-node elimination: the reachable structure is
 //!    rebuilt into a fresh arena, compacting away elaboration garbage and
-//!    everything the other passes orphaned; constraints that folded to
+//!    everything the other stages orphaned; constraints that folded to
 //!    constant true are removed (constant-false ones are kept — they
 //!    constrain the system into vacuity and must keep doing so).
 //!
-//! **Naming note — two "sweep"s.** `sweep` ([`SweepPass`]) is *arena
-//! reclamation*: it proves nothing and merges nothing, it just copies the
-//! reachable structure into a fresh arena so orphaned nodes stop costing
-//! memory. `satsweep` ([`SatSweepPass`](crate::satsweep::SatSweepPass))
-//! is *SAT-sweeping* in the synthesis-literature sense (fraiging): it
-//! proves functional equivalences with a solver and rewrites uses, which
-//! *creates* the garbage the arena sweep then collects. The two are
-//! deliberately adjacent in the pipeline: satsweep runs right before
-//! sweep so dead cones are reclaimed in the same round.
+//! **Naming note — two "sweep"s.** `sweep` is *arena reclamation*: it
+//! proves nothing and merges nothing, it just copies the reachable
+//! structure into a fresh arena so orphaned nodes stop costing memory.
+//! `satsweep` ([`SatSweepPass`]) is *SAT-sweeping* in the
+//! synthesis-literature sense (fraiging): it proves functional
+//! equivalences with a solver and rewrites uses, which *creates* the
+//! garbage the arena sweep then collects. The two are deliberately
+//! adjacent in the pipeline: satsweep runs right before sweep so dead
+//! cones are reclaimed in the same round.
 //!
 //! All rewrites are verdict-preserving equivalences except `stuck` and
 //! the `satsweep` register stage, which install proven invariants
@@ -60,13 +62,15 @@
 //! never move. Callers opt out entirely with [`OptLevel::None`].
 
 use crate::expr::{BinaryOp, Context, Expr, ExprRef, UnaryOp};
+use crate::satsweep::SatSweepPass;
 use crate::ts::TransitionSystem;
+use genfv_obs::Obs;
 use std::collections::{HashMap, HashSet};
 
 /// How aggressively to optimize a design during prepare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
-    /// Escape hatch: run no passes at all; the system is encoded exactly
+    /// Escape hatch: run no stages at all; the system is encoded exactly
     /// as elaborated. The differential baseline.
     None,
     /// The whole pipeline. The default.
@@ -94,18 +98,10 @@ impl OptLevel {
 }
 
 /// Configuration for [`optimize`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptConfig {
     /// Pipeline aggressiveness.
     pub level: OptLevel,
-    /// Upper bound on fixpoint rounds (each round runs every pass once).
-    pub max_rounds: usize,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig { level: OptLevel::default(), max_rounds: 4 }
-    }
 }
 
 impl OptConfig {
@@ -114,24 +110,10 @@ impl OptConfig {
         self.level = level;
         self
     }
-
-    /// Sets the fixpoint round bound.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds.max(1);
-        self
-    }
 }
 
-/// Applications of one pass, accumulated across fixpoint rounds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PassCount {
-    /// Pass name (`rewrite`, `stuck`, `rebalance`, `coi`, `satsweep`,
-    /// `sweep`).
-    pub pass: String,
-    /// Number of applications (rewrites fired, states dropped, chains
-    /// rebalanced, nodes swept — each pass's natural unit).
-    pub applications: u64,
-}
+/// Upper bound on fixpoint rounds (each round runs every stage once).
+const MAX_ROUNDS: usize = 4;
 
 /// What the pipeline did to one design.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -144,9 +126,9 @@ pub struct OptStats {
     pub nodes_before: usize,
     /// Arena nodes after the final sweep.
     pub nodes_after: usize,
-    /// Pattern rewrites fired by the `rewrite` pass.
+    /// Pattern rewrites fired by the `rewrite` stage.
     pub rewrites: u64,
-    /// Associative chains rebuilt by the `rebalance` pass.
+    /// Associative chains rebuilt by the `rebalance` stage.
     pub chains_rebalanced: u64,
     /// Stuck-at-constant registers substituted away.
     pub stuck_states: u64,
@@ -164,37 +146,6 @@ pub struct OptStats {
     pub nodes_merged: u64,
     /// Solver conflicts spent inside SAT-sweep equivalence queries.
     pub sweep_conflicts: u64,
-    /// Per-pass application counts, in pipeline order.
-    pub per_pass: Vec<PassCount>,
-}
-
-impl genfv_obs::Accumulate for OptStats {
-    /// Fold another design's (or round's) pipeline stats into totals:
-    /// counts sum, per-pass applications merge by pass name, and the
-    /// level follows the most recent stats that actually saw an arena.
-    fn absorb(&mut self, other: &Self) {
-        if other.nodes_before > 0 {
-            self.level = other.level;
-        }
-        self.rounds += other.rounds;
-        self.nodes_before += other.nodes_before;
-        self.nodes_after += other.nodes_after;
-        self.rewrites += other.rewrites;
-        self.chains_rebalanced += other.chains_rebalanced;
-        self.stuck_states += other.stuck_states;
-        self.coi_dropped_states += other.coi_dropped_states;
-        self.constraints_dropped += other.constraints_dropped;
-        self.pairs_proved += other.pairs_proved;
-        self.pairs_refuted += other.pairs_refuted;
-        self.nodes_merged += other.nodes_merged;
-        self.sweep_conflicts += other.sweep_conflicts;
-        for pc in &other.per_pass {
-            match self.per_pass.iter_mut().find(|mine| mine.pass == pc.pass) {
-                Some(mine) => mine.applications += pc.applications,
-                None => self.per_pass.push(pc.clone()),
-            }
-        }
-    }
 }
 
 impl OptStats {
@@ -204,7 +155,7 @@ impl OptStats {
         self.nodes_before.saturating_sub(self.nodes_after)
     }
 
-    /// Total states dropped by any pass (stuck-at plus cone-of-influence).
+    /// Total states dropped by any stage (stuck-at plus cone-of-influence).
     pub fn states_dropped(&self) -> u64 {
         self.stuck_states + self.coi_dropped_states
     }
@@ -234,219 +185,103 @@ impl OptStats {
     }
 }
 
-/// One optimization pass over `(Context, TransitionSystem)`.
-///
-/// A pass mutates the system (and the extra proof-obligation roots) in
-/// place and reports how many times it fired; the [`PassManager`] iterates
-/// the pipeline until a full round reports zero applications.
-pub trait OptPass {
-    /// Stable pass name used in [`OptStats::per_pass`].
-    fn name(&self) -> &'static str;
-    /// Runs the pass, returning the number of applications.
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64;
-    /// Span name recorded per application when the pipeline runs under
-    /// an enabled observability handle (static because spans carry
-    /// `&'static str` names; custom passes fall back to `opt.pass`).
-    fn span_name(&self) -> &'static str {
-        match self.name() {
-            "rewrite" => "opt.rewrite",
-            "stuck" => "opt.stuck",
-            "rebalance" => "opt.rebalance",
-            "coi" => "opt.coi",
-            "satsweep" => "opt.satsweep",
-            "sweep" => "opt.sweep",
-            _ => "opt.pass",
-        }
-    }
-    /// Hands the pass the pipeline's observability handle before it runs
-    /// (passes that issue solver calls record their own counters).
-    fn attach_obs(&mut self, _obs: &genfv_obs::Obs) {}
-    /// Folds pass-specific counters into the pipeline stats after the
-    /// fixpoint loop (the generic per-pass application count only carries
-    /// one number; passes with richer accounting report it here).
-    fn fold_stats(&self, _stats: &mut OptStats) {}
-}
-
-/// Runs a pass pipeline to a fixpoint with per-pass statistics.
-pub struct PassManager {
-    passes: Vec<Box<dyn OptPass>>,
-    max_rounds: usize,
-}
-
-impl PassManager {
-    /// An empty manager with the given round bound.
-    pub fn new(max_rounds: usize) -> Self {
-        PassManager { passes: Vec::new(), max_rounds: max_rounds.max(1) }
-    }
-
-    /// Appends a pass to the pipeline (builder style).
-    pub fn with_pass(mut self, pass: Box<dyn OptPass>) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// The standard pipeline for an [`OptLevel`] (empty for `None`).
-    pub fn for_level(level: OptLevel, max_rounds: usize) -> Self {
-        let pm = PassManager::new(max_rounds);
-        match level {
-            OptLevel::None => pm,
-            OptLevel::Full => pm
-                .with_pass(Box::new(RewritePass))
-                .with_pass(Box::new(StuckAtPass))
-                .with_pass(Box::new(RebalancePass))
-                .with_pass(Box::new(CoiPass))
-                .with_pass(Box::new(SweepPass)),
-            OptLevel::SatSweep => pm
-                .with_pass(Box::new(RewritePass))
-                .with_pass(Box::new(StuckAtPass))
-                .with_pass(Box::new(RebalancePass))
-                .with_pass(Box::new(CoiPass))
-                .with_pass(Box::new(crate::satsweep::SatSweepPass::new()))
-                .with_pass(Box::new(SweepPass)),
-        }
-    }
-
-    /// Runs every pass in order, repeating rounds until no *semantic*
-    /// pass applies anything or the round bound is hit. `roots` are extra
-    /// proof obligations (compiled property expressions) rewritten
-    /// alongside the system.
-    ///
-    /// The sweep's node count is deliberately excluded from the
-    /// convergence check: rewrite probes intern speculative nodes even on
-    /// rounds where no rule lands, so the sweep (which runs last and
-    /// leaves a compact arena) always has *something* to collect — a
-    /// round where only the sweep fired is a fixpoint, not progress.
-    pub fn run(
-        &mut self,
-        ctx: &mut Context,
-        ts: &mut TransitionSystem,
-        roots: &mut Vec<ExprRef>,
-    ) -> OptStats {
-        self.run_with(ctx, ts, roots, &genfv_obs::Obs::off())
-    }
-
-    /// [`PassManager::run`] with observability: each pass application
-    /// records an `opt.<pass>` span under the caller's open span, so a
-    /// trace shows exactly where prepare time went.
-    pub fn run_with(
-        &mut self,
-        ctx: &mut Context,
-        ts: &mut TransitionSystem,
-        roots: &mut Vec<ExprRef>,
-        obs: &genfv_obs::Obs,
-    ) -> OptStats {
-        let mut stats = OptStats { nodes_before: ctx.num_nodes(), ..OptStats::default() };
-        let constraints_before = ts.constraints().len();
-        let mut per: Vec<PassCount> = self
-            .passes
-            .iter()
-            .map(|p| PassCount { pass: p.name().to_string(), applications: 0 })
-            .collect();
-        for pass in self.passes.iter_mut() {
-            pass.attach_obs(obs);
-        }
-        for _ in 0..self.max_rounds {
-            let mut semantic_fires = 0u64;
-            for (i, pass) in self.passes.iter_mut().enumerate() {
-                let span = obs.span(pass.span_name());
-                let n = pass.run(ctx, ts, roots.as_mut_slice());
-                span.end();
-                per[i].applications += n;
-                if pass.name() != "sweep" {
-                    semantic_fires += n;
-                }
-            }
-            stats.rounds += 1;
-            if semantic_fires == 0 {
-                break;
-            }
-        }
-        stats.nodes_after = ctx.num_nodes();
-        stats.constraints_dropped =
-            constraints_before.saturating_sub(ts.constraints().len()) as u64;
-        for pc in &per {
-            match pc.pass.as_str() {
-                "rewrite" => stats.rewrites += pc.applications,
-                "rebalance" => stats.chains_rebalanced += pc.applications,
-                "stuck" => stats.stuck_states += pc.applications,
-                "coi" => stats.coi_dropped_states += pc.applications,
-                _ => {}
-            }
-        }
-        for pass in &self.passes {
-            pass.fold_stats(&mut stats);
-        }
-        stats.per_pass = per;
-        stats
-    }
-}
-
 /// Optimizes `(ctx, ts)` in place at the configured level. `roots` are the
 /// compiled proof-obligation expressions (one per target); they are
 /// rewritten in place so callers can re-anchor their properties afterwards.
+///
+/// The whole pipeline runs under an `opt` span and each stage call
+/// records an `opt.<stage>` child, so a trace shows exactly where prepare
+/// time went. Rounds repeat until no stage but the arena sweep fires:
+/// rewrite probes intern speculative nodes even on rounds where no rule
+/// lands, so the sweep (which runs last and leaves a compact arena)
+/// always has *something* to collect — a round where only the sweep
+/// fired is a fixpoint, not progress.
 pub fn optimize(
     ctx: &mut Context,
     ts: &mut TransitionSystem,
-    roots: &mut Vec<ExprRef>,
+    roots: &mut [ExprRef],
     config: &OptConfig,
+    obs: &Obs,
 ) -> OptStats {
-    optimize_with(ctx, ts, roots, config, &genfv_obs::Obs::off())
-}
-
-/// [`optimize`] with observability: the whole pipeline runs under an
-/// `opt` span and each pass application records an `opt.<pass>` child.
-pub fn optimize_with(
-    ctx: &mut Context,
-    ts: &mut TransitionSystem,
-    roots: &mut Vec<ExprRef>,
-    config: &OptConfig,
-    obs: &genfv_obs::Obs,
-) -> OptStats {
+    let mut stats =
+        OptStats { level: config.level, nodes_before: ctx.num_nodes(), ..OptStats::default() };
     if config.level == OptLevel::None {
-        let n = ctx.num_nodes();
-        return OptStats {
-            level: OptLevel::None,
-            nodes_before: n,
-            nodes_after: n,
-            ..OptStats::default()
-        };
+        stats.nodes_after = stats.nodes_before;
+        return stats;
     }
     let _span = obs.span("opt");
-    let mut pm = PassManager::for_level(config.level, config.max_rounds);
-    let mut stats = pm.run_with(ctx, ts, roots, obs);
-    stats.level = config.level;
+    let constraints_before = ts.constraints().len();
+    // One pass value for every round: it carries the CEX vectors learned
+    // from refuted miters into the next round.
+    let mut satsweep = (config.level == OptLevel::SatSweep).then(SatSweepPass::new);
+    for _ in 0..MAX_ROUNDS {
+        let rewrites = stage(obs, "opt.rewrite", || rewrite(ctx, ts, roots));
+        let stuck = stage(obs, "opt.stuck", || stuck_at(ctx, ts, roots));
+        let rebalanced = stage(obs, "opt.rebalance", || rebalance(ctx, ts, roots));
+        let dropped = stage(obs, "opt.coi", || coi(ctx, ts, roots));
+        let merged = satsweep
+            .as_mut()
+            .map_or(0, |pass| stage(obs, "opt.satsweep", || pass.run(ctx, ts, roots, obs)));
+        stage(obs, "opt.sweep", || sweep(ctx, ts, roots));
+        stats.rewrites += rewrites;
+        stats.stuck_states += stuck;
+        stats.chains_rebalanced += rebalanced;
+        stats.coi_dropped_states += dropped;
+        stats.rounds += 1;
+        if rewrites + stuck + rebalanced + dropped + merged == 0 {
+            break;
+        }
+    }
+    stats.nodes_after = ctx.num_nodes();
+    stats.constraints_dropped = constraints_before.saturating_sub(ts.constraints().len()) as u64;
+    if let Some(pass) = satsweep {
+        let s = pass.stats();
+        stats.pairs_proved = s.pairs_proved;
+        stats.pairs_refuted = s.pairs_refuted;
+        stats.nodes_merged = s.nodes_merged;
+        stats.sweep_conflicts = s.sweep_conflicts;
+    }
     stats
+}
+
+/// Runs one stage under its span.
+fn stage<T>(obs: &Obs, span: &'static str, run: impl FnOnce() -> T) -> T {
+    let _span = obs.span(span);
+    run()
 }
 
 // --- shared machinery -------------------------------------------------------
 
-pub(crate) fn mk_unary(ctx: &mut Context, op: UnaryOp, a: ExprRef) -> ExprRef {
-    match op {
-        UnaryOp::Not => ctx.not(a),
-        UnaryOp::Neg => ctx.neg(a),
-        UnaryOp::RedAnd => ctx.red_and(a),
-        UnaryOp::RedOr => ctx.red_or(a),
-        UnaryOp::RedXor => ctx.red_xor(a),
-    }
-}
-
-pub(crate) fn mk_binary(ctx: &mut Context, op: BinaryOp, a: ExprRef, b: ExprRef) -> ExprRef {
-    match op {
-        BinaryOp::And => ctx.and(a, b),
-        BinaryOp::Or => ctx.or(a, b),
-        BinaryOp::Xor => ctx.xor(a, b),
-        BinaryOp::Add => ctx.add(a, b),
-        BinaryOp::Sub => ctx.sub(a, b),
-        BinaryOp::Mul => ctx.mul(a, b),
-        BinaryOp::Udiv => ctx.udiv(a, b),
-        BinaryOp::Urem => ctx.urem(a, b),
-        BinaryOp::Eq => ctx.eq(a, b),
-        BinaryOp::Ult => ctx.ult(a, b),
-        BinaryOp::Ule => ctx.ule(a, b),
-        BinaryOp::Slt => ctx.slt(a, b),
-        BinaryOp::Concat => ctx.concat(a, b),
-        BinaryOp::Shl => ctx.shl(a, b),
-        BinaryOp::Lshr => ctx.lshr(a, b),
+/// Interns `node` into `ctx` through the folding smart constructors, with
+/// each child mapped through `child` first, in operand order. `node` may
+/// come from another arena (the arena sweep copies between two).
+pub(crate) fn rebuild_node(
+    ctx: &mut Context,
+    node: &Expr,
+    mut child: impl FnMut(&mut Context, ExprRef) -> ExprRef,
+) -> ExprRef {
+    match *node {
+        Expr::Const(ref v) => ctx.value(v.clone()),
+        Expr::Symbol { ref name, width } => ctx.symbol(name, width),
+        Expr::Unary(op, a) => {
+            let na = child(ctx, a);
+            ctx.unary(op, na)
+        }
+        Expr::Binary(op, a, b) => {
+            let na = child(ctx, a);
+            let nb = child(ctx, b);
+            ctx.binary(op, na, nb)
+        }
+        Expr::Ite { cond, tru, fls } => {
+            let nc = child(ctx, cond);
+            let nt = child(ctx, tru);
+            let nf = child(ctx, fls);
+            ctx.ite(nc, nt, nf)
+        }
+        Expr::Extract { value, hi, lo } => {
+            let nv = child(ctx, value);
+            ctx.extract(nv, hi, lo)
+        }
     }
 }
 
@@ -517,25 +352,7 @@ fn rebuild(
     }
     let mut cur = match ctx.expr(e).clone() {
         Expr::Const(_) | Expr::Symbol { .. } => e,
-        Expr::Unary(op, a) => {
-            let na = rebuild(ctx, a, memo, rule, fired);
-            mk_unary(ctx, op, na)
-        }
-        Expr::Binary(op, a, b) => {
-            let na = rebuild(ctx, a, memo, rule, fired);
-            let nb = rebuild(ctx, b, memo, rule, fired);
-            mk_binary(ctx, op, na, nb)
-        }
-        Expr::Ite { cond, tru, fls } => {
-            let nc = rebuild(ctx, cond, memo, rule, fired);
-            let nt = rebuild(ctx, tru, memo, rule, fired);
-            let nf = rebuild(ctx, fls, memo, rule, fired);
-            ctx.ite(nc, nt, nf)
-        }
-        Expr::Extract { value, hi, lo } => {
-            let nv = rebuild(ctx, value, memo, rule, fired);
-            ctx.extract(nv, hi, lo)
-        }
+        node => rebuild_node(ctx, &node, |ctx, c| rebuild(ctx, c, memo, rule, fired)),
     };
     // Local fixpoint: a rewrite can expose another at the same position.
     for _ in 0..8 {
@@ -551,392 +368,392 @@ fn rebuild(
     cur
 }
 
-// --- pass 1: pattern rewriting ---------------------------------------------
+// --- stage 1: pattern rewriting ---------------------------------------------
 
-/// Pattern-driven local rewriting (see module docs).
-pub struct RewritePass;
-
-impl RewritePass {
-    fn rule(ctx: &mut Context, e: ExprRef, uses: &HashMap<ExprRef, u32>) -> Option<ExprRef> {
-        match ctx.expr(e).clone() {
-            Expr::Ite { cond, tru, fls } => {
-                // ite(~c, t, f) → ite(c, f, t)
-                if let Expr::Unary(UnaryOp::Not, c) = *ctx.expr(cond) {
-                    return Some(ctx.ite(c, fls, tru));
-                }
-                // Nested same-condition muxes collapse.
-                if let Expr::Ite { cond: c2, tru: t2, .. } = *ctx.expr(tru) {
-                    if c2 == cond {
-                        return Some(ctx.ite(cond, t2, fls));
-                    }
-                }
-                if let Expr::Ite { cond: c2, fls: f2, .. } = *ctx.expr(fls) {
-                    if c2 == cond {
-                        return Some(ctx.ite(cond, tru, f2));
-                    }
-                }
-                // 1-bit muxes with constant arms are plain gates.
-                if ctx.width_of(tru) == 1 {
-                    let tv = ctx.const_value(tru).map(|v| v.to_bool());
-                    let fv = ctx.const_value(fls).map(|v| v.to_bool());
-                    return match (tv, fv) {
-                        (Some(true), Some(false)) => Some(cond),
-                        (Some(false), Some(true)) => Some(ctx.not(cond)),
-                        (Some(true), None) => Some(ctx.or(cond, fls)),
-                        (Some(false), None) => {
-                            let nc = ctx.not(cond);
-                            Some(ctx.and(nc, fls))
-                        }
-                        (None, Some(false)) => Some(ctx.and(cond, tru)),
-                        (None, Some(true)) => {
-                            let nc = ctx.not(cond);
-                            Some(ctx.or(nc, tru))
-                        }
-                        _ => None,
-                    };
-                }
-                None
-            }
-            Expr::Binary(BinaryOp::Add, p, q) => Self::factor_add(ctx, p, q, uses),
-            Expr::Binary(BinaryOp::And, p, q) => {
-                // Absorption: a & (a | b) = a.
-                if let Expr::Binary(BinaryOp::Or, x, y) = *ctx.expr(q) {
-                    if x == p || y == p {
-                        return Some(p);
-                    }
-                }
-                if let Expr::Binary(BinaryOp::Or, x, y) = *ctx.expr(p) {
-                    if x == q || y == q {
-                        return Some(q);
-                    }
-                }
-                None
-            }
-            Expr::Binary(BinaryOp::Or, p, q) => {
-                // Absorption: a | (a & b) = a.
-                if let Expr::Binary(BinaryOp::And, x, y) = *ctx.expr(q) {
-                    if x == p || y == p {
-                        return Some(p);
-                    }
-                }
-                if let Expr::Binary(BinaryOp::And, x, y) = *ctx.expr(p) {
-                    if x == q || y == q {
-                        return Some(q);
-                    }
-                }
-                None
-            }
-            _ => None,
-        }
+/// Pattern-driven local rewriting (see module docs). Returns the number of
+/// rewrites fired.
+fn rewrite(ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
+    let tops = all_tops(ts, roots);
+    let uses = use_counts(ctx, &tops);
+    let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
+    let mut fired = 0u64;
+    let mut rule = |ctx: &mut Context, e: ExprRef| rewrite_rule(ctx, e, &uses);
+    ts.map_exprs(|e| rebuild(ctx, e, &mut memo, &mut rule, &mut fired));
+    for r in roots.iter_mut() {
+        *r = rebuild(ctx, *r, &mut memo, &mut rule, &mut fired);
     }
+    fired
+}
 
-    /// Distributivity factoring over `Z/2^n`: `a*b + a*c → a*(b+c)` and
-    /// `a*b + b → (a+1)*b`. Only fires when the multiplier cone is not
-    /// shared elsewhere (use count ≤ 1), so a multi-use product is never
-    /// duplicated into a second multiplier.
-    fn factor_add(
-        ctx: &mut Context,
-        p: ExprRef,
-        q: ExprRef,
-        uses: &HashMap<ExprRef, u32>,
-    ) -> Option<ExprRef> {
-        let single = |e: ExprRef| uses.get(&e).copied().unwrap_or(1) <= 1;
-        let as_mul = |ctx: &Context, e: ExprRef| match *ctx.expr(e) {
-            Expr::Binary(BinaryOp::Mul, a, b) => Some((a, b)),
-            _ => None,
-        };
-        let mp = as_mul(ctx, p);
-        let mq = as_mul(ctx, q);
-        if let (Some((a, b)), Some((c, d))) = (mp, mq) {
-            if single(p) && single(q) {
-                let (common, x, y) = if a == c {
-                    (a, b, d)
-                } else if a == d {
-                    (a, b, c)
-                } else if b == c {
-                    (b, a, d)
-                } else if b == d {
-                    (b, a, c)
-                } else {
-                    return None;
+fn rewrite_rule(ctx: &mut Context, e: ExprRef, uses: &HashMap<ExprRef, u32>) -> Option<ExprRef> {
+    match ctx.expr(e).clone() {
+        Expr::Ite { cond, tru, fls } => {
+            // ite(~c, t, f) → ite(c, f, t)
+            if let Expr::Unary(UnaryOp::Not, c) = *ctx.expr(cond) {
+                return Some(ctx.ite(c, fls, tru));
+            }
+            // Nested same-condition muxes collapse.
+            if let Expr::Ite { cond: c2, tru: t2, .. } = *ctx.expr(tru) {
+                if c2 == cond {
+                    return Some(ctx.ite(cond, t2, fls));
+                }
+            }
+            if let Expr::Ite { cond: c2, fls: f2, .. } = *ctx.expr(fls) {
+                if c2 == cond {
+                    return Some(ctx.ite(cond, tru, f2));
+                }
+            }
+            // 1-bit muxes with constant arms are plain gates.
+            if ctx.width_of(tru) == 1 {
+                let tv = ctx.const_value(tru).map(|v| v.to_bool());
+                let fv = ctx.const_value(fls).map(|v| v.to_bool());
+                return match (tv, fv) {
+                    (Some(true), Some(false)) => Some(cond),
+                    (Some(false), Some(true)) => Some(ctx.not(cond)),
+                    (Some(true), None) => Some(ctx.or(cond, fls)),
+                    (Some(false), None) => {
+                        let nc = ctx.not(cond);
+                        Some(ctx.and(nc, fls))
+                    }
+                    (None, Some(false)) => Some(ctx.and(cond, tru)),
+                    (None, Some(true)) => {
+                        let nc = ctx.not(cond);
+                        Some(ctx.or(nc, tru))
+                    }
+                    _ => None,
                 };
-                let sum = ctx.add(x, y);
-                return Some(ctx.mul(common, sum));
             }
-            return None;
+            None
         }
-        // Mixed form: mul(a, b) + t with t one of the factors.
-        let (m, (a, b), t) = match (mp, mq) {
-            (Some(f), None) => (p, f, q),
-            (None, Some(f)) => (q, f, p),
-            _ => return None,
-        };
-        if !single(m) {
-            return None;
+        Expr::Binary(BinaryOp::Add, p, q) => factor_add(ctx, p, q, uses),
+        Expr::Binary(BinaryOp::And, p, q) => {
+            // Absorption: a & (a | b) = a.
+            if let Expr::Binary(BinaryOp::Or, x, y) = *ctx.expr(q) {
+                if x == p || y == p {
+                    return Some(p);
+                }
+            }
+            if let Expr::Binary(BinaryOp::Or, x, y) = *ctx.expr(p) {
+                if x == q || y == q {
+                    return Some(q);
+                }
+            }
+            None
         }
-        let w = ctx.width_of(t);
-        if t == a {
-            let one = ctx.constant(1, w);
-            let sum = ctx.add(b, one);
-            return Some(ctx.mul(a, sum));
+        Expr::Binary(BinaryOp::Or, p, q) => {
+            // Absorption: a | (a & b) = a.
+            if let Expr::Binary(BinaryOp::And, x, y) = *ctx.expr(q) {
+                if x == p || y == p {
+                    return Some(p);
+                }
+            }
+            if let Expr::Binary(BinaryOp::And, x, y) = *ctx.expr(p) {
+                if x == q || y == q {
+                    return Some(q);
+                }
+            }
+            None
         }
-        if t == b {
-            let one = ctx.constant(1, w);
-            let sum = ctx.add(a, one);
-            return Some(ctx.mul(b, sum));
-        }
-        None
+        _ => None,
     }
 }
 
-impl OptPass for RewritePass {
-    fn name(&self) -> &'static str {
-        "rewrite"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let tops = all_tops(ts, roots);
-        let uses = use_counts(ctx, &tops);
-        let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
-        let mut fired = 0u64;
-        let mut rule = |ctx: &mut Context, e: ExprRef| RewritePass::rule(ctx, e, &uses);
-        ts.map_exprs(|e| rebuild(ctx, e, &mut memo, &mut rule, &mut fired));
-        for r in roots.iter_mut() {
-            *r = rebuild(ctx, *r, &mut memo, &mut rule, &mut fired);
+/// Distributivity factoring over `Z/2^n`: `a*b + a*c → a*(b+c)` and
+/// `a*b + b → (a+1)*b`. Only fires when the multiplier cone is not
+/// shared elsewhere (use count ≤ 1), so a multi-use product is never
+/// duplicated into a second multiplier.
+fn factor_add(
+    ctx: &mut Context,
+    p: ExprRef,
+    q: ExprRef,
+    uses: &HashMap<ExprRef, u32>,
+) -> Option<ExprRef> {
+    let single = |e: ExprRef| uses.get(&e).copied().unwrap_or(1) <= 1;
+    let as_mul = |ctx: &Context, e: ExprRef| match *ctx.expr(e) {
+        Expr::Binary(BinaryOp::Mul, a, b) => Some((a, b)),
+        _ => None,
+    };
+    let mp = as_mul(ctx, p);
+    let mq = as_mul(ctx, q);
+    if let (Some((a, b)), Some((c, d))) = (mp, mq) {
+        if single(p) && single(q) {
+            let (common, x, y) = if a == c {
+                (a, b, d)
+            } else if a == d {
+                (a, b, c)
+            } else if b == c {
+                (b, a, d)
+            } else if b == d {
+                (b, a, c)
+            } else {
+                return None;
+            };
+            let sum = ctx.add(x, y);
+            return Some(ctx.mul(common, sum));
         }
-        fired
+        return None;
     }
+    // Mixed form: mul(a, b) + t with t one of the factors.
+    let (m, (a, b), t) = match (mp, mq) {
+        (Some(f), None) => (p, f, q),
+        (None, Some(f)) => (q, f, p),
+        _ => return None,
+    };
+    if !single(m) {
+        return None;
+    }
+    let w = ctx.width_of(t);
+    if t == a {
+        let one = ctx.constant(1, w);
+        let sum = ctx.add(b, one);
+        return Some(ctx.mul(a, sum));
+    }
+    if t == b {
+        let one = ctx.constant(1, w);
+        let sum = ctx.add(a, one);
+        return Some(ctx.mul(b, sum));
+    }
+    None
 }
 
-// --- pass 2: stuck-at-constant registers ------------------------------------
+// --- stage 2: stuck-at-constant registers -----------------------------------
 
 /// Eliminates registers provably stuck at their constant reset value.
-pub struct StuckAtPass;
-
-impl OptPass for StuckAtPass {
-    fn name(&self) -> &'static str {
-        "stuck"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let mut total = 0u64;
-        loop {
-            let mut stuck: HashMap<ExprRef, ExprRef> = HashMap::new();
-            for s in ts.states() {
-                if let Some(init) = s.init {
-                    if ctx.const_value(init).is_some() {
-                        let m = HashMap::from([(s.symbol, init)]);
-                        if ctx.substitute(s.next, &m) == init {
-                            stuck.insert(s.symbol, init);
-                        }
+/// Returns the number of registers dropped.
+fn stuck_at(ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
+    let mut total = 0u64;
+    loop {
+        let mut stuck: HashMap<ExprRef, ExprRef> = HashMap::new();
+        for s in ts.states() {
+            if let Some(init) = s.init {
+                if ctx.const_value(init).is_some() {
+                    let m = HashMap::from([(s.symbol, init)]);
+                    if ctx.substitute(s.next, &m) == init {
+                        stuck.insert(s.symbol, init);
                     }
                 }
             }
-            if stuck.is_empty() {
-                return total;
-            }
-            total += stuck.len() as u64;
-            ts.map_exprs(|e| ctx.substitute(e, &stuck));
-            for r in roots.iter_mut() {
-                *r = ctx.substitute(*r, &stuck);
-            }
-            ts.retain_states(|sym| !stuck.contains_key(&sym));
         }
+        if stuck.is_empty() {
+            return total;
+        }
+        total += stuck.len() as u64;
+        ts.map_exprs(|e| ctx.substitute(e, &stuck));
+        for r in roots.iter_mut() {
+            *r = ctx.substitute(*r, &stuck);
+        }
+        ts.retain_states(|sym| !stuck.contains_key(&sym));
     }
 }
 
-// --- pass 3: associative chain rebalancing ----------------------------------
-
-/// Rebuilds deep linear combs of associative operators as balanced trees.
-pub struct RebalancePass;
+// --- stage 3: associative chain rebalancing ---------------------------------
 
 const ASSOC_OPS: [BinaryOp; 5] =
     [BinaryOp::Add, BinaryOp::Mul, BinaryOp::And, BinaryOp::Or, BinaryOp::Xor];
 
-impl RebalancePass {
-    /// Collects the leaves of the maximal `op`-chain rooted at `e`. A chain
-    /// link must be a single-use application of the same operator — shared
-    /// nodes stay leaves so their cones keep being shared.
-    fn leaves(
-        ctx: &mut Context,
-        e: ExprRef,
-        op: BinaryOp,
-        uses: &HashMap<ExprRef, u32>,
-        memo: &mut HashMap<ExprRef, ExprRef>,
-        fired: &mut u64,
-        out: &mut Vec<ExprRef>,
-    ) {
-        let (a, b) = match *ctx.expr(e) {
-            Expr::Binary(o, a, b) if o == op => (a, b),
-            _ => unreachable!("leaves called on a non-chain node"),
-        };
-        for x in [a, b] {
-            let link = matches!(*ctx.expr(x), Expr::Binary(o, ..) if o == op)
-                && uses.get(&x).copied().unwrap_or(0) <= 1;
-            if link {
-                Self::leaves(ctx, x, op, uses, memo, fired, out);
-            } else {
-                out.push(Self::rebuild(ctx, x, uses, memo, fired));
-            }
+/// Rebuilds deep linear combs of associative operators as balanced trees.
+/// Returns the number of chains rebuilt.
+fn rebalance(ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
+    let tops = all_tops(ts, roots);
+    let uses = use_counts(ctx, &tops);
+    let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
+    let mut fired = 0u64;
+    ts.map_exprs(|e| rebalance_expr(ctx, e, &uses, &mut memo, &mut fired));
+    for r in roots.iter_mut() {
+        *r = rebalance_expr(ctx, *r, &uses, &mut memo, &mut fired);
+    }
+    fired
+}
+
+/// Collects the leaves of the maximal `op`-chain rooted at `e`. A chain
+/// link must be a single-use application of the same operator — shared
+/// nodes stay leaves so their cones keep being shared.
+fn chain_leaves(
+    ctx: &mut Context,
+    e: ExprRef,
+    op: BinaryOp,
+    uses: &HashMap<ExprRef, u32>,
+    memo: &mut HashMap<ExprRef, ExprRef>,
+    fired: &mut u64,
+    out: &mut Vec<ExprRef>,
+) {
+    let (a, b) = match *ctx.expr(e) {
+        Expr::Binary(o, a, b) if o == op => (a, b),
+        _ => unreachable!("chain_leaves called on a non-chain node"),
+    };
+    for x in [a, b] {
+        let link = matches!(*ctx.expr(x), Expr::Binary(o, ..) if o == op)
+            && uses.get(&x).copied().unwrap_or(0) <= 1;
+        if link {
+            chain_leaves(ctx, x, op, uses, memo, fired, out);
+        } else {
+            out.push(rebalance_expr(ctx, x, uses, memo, fired));
         }
     }
+}
 
-    /// Operator depth of the `op`-chain skeleton rooted at `e` (leaves and
-    /// shared nodes count zero). A left-leaning chain of n leaves has
-    /// depth n-1; a tournament tree has depth ceil(log2 n).
-    fn chain_depth(ctx: &Context, e: ExprRef, op: BinaryOp, uses: &HashMap<ExprRef, u32>) -> u32 {
-        match *ctx.expr(e) {
-            Expr::Binary(o, a, b) if o == op => {
-                let sub = |ctx: &Context, x: ExprRef| {
-                    let link = matches!(*ctx.expr(x), Expr::Binary(oo, ..) if oo == op)
-                        && uses.get(&x).copied().unwrap_or(0) <= 1;
-                    if link {
-                        Self::chain_depth(ctx, x, op, uses)
-                    } else {
-                        0
-                    }
-                };
-                1 + sub(ctx, a).max(sub(ctx, b))
-            }
-            _ => 0,
-        }
-    }
-
-    fn rebuild(
-        ctx: &mut Context,
-        e: ExprRef,
-        uses: &HashMap<ExprRef, u32>,
-        memo: &mut HashMap<ExprRef, ExprRef>,
-        fired: &mut u64,
-    ) -> ExprRef {
-        if let Some(&r) = memo.get(&e) {
-            return r;
-        }
-        let result = match ctx.expr(e).clone() {
-            Expr::Const(_) | Expr::Symbol { .. } => e,
-            Expr::Binary(op, ..) if ASSOC_OPS.contains(&op) => {
-                // Only reshape when the tournament tree is strictly
-                // shallower than what is already there — a chain that is
-                // balanced (or canonically reordered into an equivalent
-                // shape by the smart constructors) must be a fixpoint, or
-                // alternating rounds would ping-pong between layouts.
-                let orig_depth = Self::chain_depth(ctx, e, op, uses);
-                let mut ls: Vec<ExprRef> = Vec::new();
-                Self::leaves(ctx, e, op, uses, memo, fired, &mut ls);
-                let balanced_depth = usize::BITS - (ls.len().max(1) - 1).leading_zeros();
-                if ls.len() >= 3 && balanced_depth < orig_depth {
-                    // Tournament reduction: pair adjacent leaves level by
-                    // level, giving depth ceil(log2 n) instead of n-1.
-                    while ls.len() > 1 {
-                        let mut next_level = Vec::with_capacity(ls.len().div_ceil(2));
-                        let mut it = ls.chunks_exact(2);
-                        for pair in &mut it {
-                            next_level.push(mk_binary(ctx, op, pair[0], pair[1]));
-                        }
-                        next_level.extend_from_slice(it.remainder());
-                        ls = next_level;
-                    }
-                    let balanced = ls[0];
-                    if balanced != e {
-                        *fired += 1;
-                    }
-                    balanced
+/// Operator depth of the `op`-chain skeleton rooted at `e` (leaves and
+/// shared nodes count zero). A left-leaning chain of n leaves has
+/// depth n-1; a tournament tree has depth ceil(log2 n).
+fn chain_depth(ctx: &Context, e: ExprRef, op: BinaryOp, uses: &HashMap<ExprRef, u32>) -> u32 {
+    match *ctx.expr(e) {
+        Expr::Binary(o, a, b) if o == op => {
+            let sub = |ctx: &Context, x: ExprRef| {
+                let link = matches!(*ctx.expr(x), Expr::Binary(oo, ..) if oo == op)
+                    && uses.get(&x).copied().unwrap_or(0) <= 1;
+                if link {
+                    chain_depth(ctx, x, op, uses)
                 } else {
-                    let (a, b) = match *ctx.expr(e) {
-                        Expr::Binary(_, a, b) => (a, b),
-                        _ => unreachable!(),
-                    };
-                    let na = Self::rebuild(ctx, a, uses, memo, fired);
-                    let nb = Self::rebuild(ctx, b, uses, memo, fired);
-                    mk_binary(ctx, op, na, nb)
+                    0
                 }
-            }
-            Expr::Unary(op, a) => {
-                let na = Self::rebuild(ctx, a, uses, memo, fired);
-                mk_unary(ctx, op, na)
-            }
-            Expr::Binary(op, a, b) => {
-                let na = Self::rebuild(ctx, a, uses, memo, fired);
-                let nb = Self::rebuild(ctx, b, uses, memo, fired);
-                mk_binary(ctx, op, na, nb)
-            }
-            Expr::Ite { cond, tru, fls } => {
-                let nc = Self::rebuild(ctx, cond, uses, memo, fired);
-                let nt = Self::rebuild(ctx, tru, uses, memo, fired);
-                let nf = Self::rebuild(ctx, fls, uses, memo, fired);
-                ctx.ite(nc, nt, nf)
-            }
-            Expr::Extract { value, hi, lo } => {
-                let nv = Self::rebuild(ctx, value, uses, memo, fired);
-                ctx.extract(nv, hi, lo)
-            }
-        };
-        memo.insert(e, result);
-        result
-    }
-}
-
-impl OptPass for RebalancePass {
-    fn name(&self) -> &'static str {
-        "rebalance"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let tops = all_tops(ts, roots);
-        let uses = use_counts(ctx, &tops);
-        let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
-        let mut fired = 0u64;
-        ts.map_exprs(|e| Self::rebuild(ctx, e, &uses, &mut memo, &mut fired));
-        for r in roots.iter_mut() {
-            *r = Self::rebuild(ctx, *r, &uses, &mut memo, &mut fired);
+            };
+            1 + sub(ctx, a).max(sub(ctx, b))
         }
-        fired
+        _ => 0,
     }
 }
 
-// --- pass 4: cone-of-influence reduction ------------------------------------
+/// Memoized rebuild of `e` with every reshapeable associative chain
+/// balanced; everything else is rebuilt over rebalanced children.
+fn rebalance_expr(
+    ctx: &mut Context,
+    e: ExprRef,
+    uses: &HashMap<ExprRef, u32>,
+    memo: &mut HashMap<ExprRef, ExprRef>,
+    fired: &mut u64,
+) -> ExprRef {
+    if let Some(&r) = memo.get(&e) {
+        return r;
+    }
+    let result = match ctx.expr(e).clone() {
+        Expr::Const(_) | Expr::Symbol { .. } => e,
+        node => {
+            let balanced = match node {
+                Expr::Binary(op, ..) if ASSOC_OPS.contains(&op) => {
+                    balance_chain(ctx, e, op, uses, memo, fired)
+                }
+                _ => None,
+            };
+            balanced.unwrap_or_else(|| {
+                rebuild_node(ctx, &node, |ctx, c| rebalance_expr(ctx, c, uses, memo, fired))
+            })
+        }
+    };
+    memo.insert(e, result);
+    result
+}
+
+/// The balanced tree for the `op`-chain rooted at `e`, or `None` when the
+/// chain is already as shallow as a tournament tree would make it.
+fn balance_chain(
+    ctx: &mut Context,
+    e: ExprRef,
+    op: BinaryOp,
+    uses: &HashMap<ExprRef, u32>,
+    memo: &mut HashMap<ExprRef, ExprRef>,
+    fired: &mut u64,
+) -> Option<ExprRef> {
+    // Only reshape when the tournament tree is strictly shallower than
+    // what is already there — a chain that is balanced (or canonically
+    // reordered into an equivalent shape by the smart constructors) must
+    // be a fixpoint, or alternating rounds would ping-pong between
+    // layouts.
+    let orig_depth = chain_depth(ctx, e, op, uses);
+    let mut ls: Vec<ExprRef> = Vec::new();
+    chain_leaves(ctx, e, op, uses, memo, fired, &mut ls);
+    let balanced_depth = usize::BITS - (ls.len().max(1) - 1).leading_zeros();
+    if ls.len() < 3 || balanced_depth >= orig_depth {
+        return None;
+    }
+    // Tournament reduction: pair adjacent leaves level by level, giving
+    // depth ceil(log2 n) instead of n-1.
+    while ls.len() > 1 {
+        let mut next_level = Vec::with_capacity(ls.len().div_ceil(2));
+        let mut it = ls.chunks_exact(2);
+        for pair in &mut it {
+            next_level.push(ctx.binary(op, pair[0], pair[1]));
+        }
+        next_level.extend_from_slice(it.remainder());
+        ls = next_level;
+    }
+    if ls[0] != e {
+        *fired += 1;
+    }
+    Some(ls[0])
+}
+
+// --- stage 4: cone-of-influence reduction -----------------------------------
 
 /// Drops states outside the support closure of targets, constraints, and
 /// published signals (see module docs for the soundness argument).
-pub struct CoiPass;
-
-impl OptPass for CoiPass {
-    fn name(&self) -> &'static str {
-        "coi"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let mut work: Vec<ExprRef> = Vec::new();
-        work.extend_from_slice(roots);
-        work.extend_from_slice(ts.constraints());
-        work.extend(ts.signals().iter().map(|(_, e)| *e));
-        let mut needed: HashSet<ExprRef> = HashSet::new();
-        let mut visited: HashSet<ExprRef> = HashSet::new();
-        while let Some(e) = work.pop() {
-            if !visited.insert(e) {
-                continue;
-            }
-            for sym in ctx.free_symbols(e) {
-                if needed.insert(sym) {
-                    if let Some(s) = ts.find_state(sym) {
-                        if let Some(init) = s.init {
-                            work.push(init);
-                        }
-                        work.push(s.next);
+/// Returns the number of states dropped.
+fn coi(ctx: &Context, ts: &mut TransitionSystem, roots: &[ExprRef]) -> u64 {
+    let mut work: Vec<ExprRef> = Vec::new();
+    work.extend_from_slice(roots);
+    work.extend_from_slice(ts.constraints());
+    work.extend(ts.signals().iter().map(|(_, e)| *e));
+    let mut needed: HashSet<ExprRef> = HashSet::new();
+    let mut visited: HashSet<ExprRef> = HashSet::new();
+    while let Some(e) = work.pop() {
+        if !visited.insert(e) {
+            continue;
+        }
+        for sym in ctx.free_symbols(e) {
+            if needed.insert(sym) {
+                if let Some(s) = ts.find_state(sym) {
+                    if let Some(init) = s.init {
+                        work.push(init);
                     }
+                    work.push(s.next);
                 }
             }
         }
-        ts.retain_states(|sym| needed.contains(&sym)) as u64
     }
+    ts.retain_states(|sym| needed.contains(&sym)) as u64
 }
 
-// --- pass 5: sweep / dead-node elimination ----------------------------------
+// --- stage 6: sweep / dead-node elimination ---------------------------------
 
 /// Rebuilds the reachable structure into a fresh arena, dropping dead
 /// nodes and constant-true constraints.
-pub struct SweepPass;
+fn sweep(ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) {
+    let mut new_ctx = Context::new();
+    let mut new_ts = TransitionSystem::new(ts.name());
+    let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
+    let old: &Context = ctx;
+    // Inputs and state symbols first, preserving declaration order so
+    // symbol enumeration (and thus waveform row order) survives.
+    for &i in ts.inputs() {
+        let ni = copy_expr(old, &mut new_ctx, i, &mut memo);
+        new_ts.add_input(ni);
+    }
+    for s in ts.states() {
+        let sym = copy_expr(old, &mut new_ctx, s.symbol, &mut memo);
+        let init = s.init.map(|i| copy_expr(old, &mut new_ctx, i, &mut memo));
+        let next = copy_expr(old, &mut new_ctx, s.next, &mut memo);
+        new_ts.add_state(sym, init, next);
+    }
+    for &c in ts.constraints() {
+        let nc = copy_expr(old, &mut new_ctx, c, &mut memo);
+        // Constant-true constraints are vacuous; constant-false ones keep
+        // the system in (sound) vacuity and must stay.
+        let is_true = new_ctx.const_value(nc).map(|v| v.to_bool()).unwrap_or(false);
+        if !is_true {
+            new_ts.add_constraint(nc);
+        }
+    }
+    for (name, e) in ts.signals() {
+        let ne = copy_expr(old, &mut new_ctx, *e, &mut memo);
+        new_ts.add_signal(name.clone(), ne);
+    }
+    for r in roots.iter_mut() {
+        *r = copy_expr(old, &mut new_ctx, *r, &mut memo);
+    }
+    *ctx = new_ctx;
+    *ts = new_ts;
+}
 
+/// Memoized copy of `e` from the `old` arena into `new`.
 fn copy_expr(
     old: &Context,
     new: &mut Context,
@@ -946,79 +763,9 @@ fn copy_expr(
     if let Some(&r) = memo.get(&e) {
         return r;
     }
-    let result = match old.expr(e).clone() {
-        Expr::Const(v) => new.value(v),
-        Expr::Symbol { name, width } => new.symbol(&name, width),
-        Expr::Unary(op, a) => {
-            let na = copy_expr(old, new, a, memo);
-            mk_unary(new, op, na)
-        }
-        Expr::Binary(op, a, b) => {
-            let na = copy_expr(old, new, a, memo);
-            let nb = copy_expr(old, new, b, memo);
-            mk_binary(new, op, na, nb)
-        }
-        Expr::Ite { cond, tru, fls } => {
-            let nc = copy_expr(old, new, cond, memo);
-            let nt = copy_expr(old, new, tru, memo);
-            let nf = copy_expr(old, new, fls, memo);
-            new.ite(nc, nt, nf)
-        }
-        Expr::Extract { value, hi, lo } => {
-            let nv = copy_expr(old, new, value, memo);
-            new.extract(nv, hi, lo)
-        }
-    };
+    let result = rebuild_node(new, old.expr(e), |new, c| copy_expr(old, new, c, memo));
     memo.insert(e, result);
     result
-}
-
-impl OptPass for SweepPass {
-    fn name(&self) -> &'static str {
-        "sweep"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let before = ctx.num_nodes();
-        let mut new_ctx = Context::new();
-        let mut new_ts = TransitionSystem::new(ts.name());
-        let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
-        {
-            let old: &Context = ctx;
-            // Inputs and state symbols first, preserving declaration order
-            // so symbol enumeration (and thus waveform row order) survives.
-            for &i in ts.inputs() {
-                let ni = copy_expr(old, &mut new_ctx, i, &mut memo);
-                new_ts.add_input(ni);
-            }
-            for s in ts.states() {
-                let sym = copy_expr(old, &mut new_ctx, s.symbol, &mut memo);
-                let init = s.init.map(|i| copy_expr(old, &mut new_ctx, i, &mut memo));
-                let next = copy_expr(old, &mut new_ctx, s.next, &mut memo);
-                new_ts.add_state(sym, init, next);
-            }
-            for &c in ts.constraints() {
-                let nc = copy_expr(old, &mut new_ctx, c, &mut memo);
-                // Constant-true constraints are vacuous; constant-false ones
-                // keep the system in (sound) vacuity and must stay.
-                let is_true = new_ctx.const_value(nc).map(|v| v.to_bool()).unwrap_or(false);
-                if !is_true {
-                    new_ts.add_constraint(nc);
-                }
-            }
-            for (name, e) in ts.signals() {
-                let ne = copy_expr(old, &mut new_ctx, *e, &mut memo);
-                new_ts.add_signal(name.clone(), ne);
-            }
-            for r in roots.iter_mut() {
-                *r = copy_expr(old, &mut new_ctx, *r, &mut memo);
-            }
-        }
-        let after = new_ctx.num_nodes();
-        *ctx = new_ctx;
-        *ts = new_ts;
-        before.saturating_sub(after) as u64
-    }
 }
 
 #[cfg(test)]
@@ -1026,13 +773,10 @@ mod tests {
     use super::*;
     use crate::eval::{evaluate, Env};
     use crate::value::BitVecValue;
+    use genfv_obs::{Counter, ObsConfig, Phase, TraceEvent};
 
-    fn run_full(
-        ctx: &mut Context,
-        ts: &mut TransitionSystem,
-        roots: &mut Vec<ExprRef>,
-    ) -> OptStats {
-        optimize(ctx, ts, roots, &OptConfig::default())
+    fn run_full(ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> OptStats {
+        optimize(ctx, ts, roots, &OptConfig::default(), &Obs::off())
     }
 
     #[test]
@@ -1050,6 +794,7 @@ mod tests {
             &mut ts,
             &mut roots,
             &OptConfig::default().with_level(OptLevel::None),
+            &Obs::off(),
         );
         assert_eq!(stats.rounds, 0);
         assert_eq!(ctx.num_nodes(), n, "None must not touch the arena");
@@ -1342,12 +1087,71 @@ mod tests {
         ts.add_signal("a", a);
         let mut roots = vec![];
         let stats = run_full(&mut ctx, &mut ts, &mut roots);
-        assert!(stats.rounds <= OptConfig::default().max_rounds);
+        assert!(stats.rounds <= MAX_ROUNDS);
         // Running again is a no-op: already at fixpoint.
         let n = ctx.num_nodes();
         let stats2 = run_full(&mut ctx, &mut ts, &mut roots);
         assert_eq!(stats2.nodes_after, n);
         assert_eq!(stats2.rewrites, 0);
+    }
+
+    /// Optimizes a two-round system under a deterministic trace.
+    fn traced_run(level: OptLevel) -> (Vec<TraceEvent>, OptStats, Obs) {
+        let mut ctx = Context::new();
+        let a = ctx.symbol("a", 1);
+        let b = ctx.symbol("b", 1);
+        let c = ctx.symbol("c", 1);
+        // ite(~c, a, b) is rewritten in round one; round two fires nothing.
+        let nc = ctx.not(c);
+        let mux = ctx.ite(nc, a, b);
+        // xor(a, b) vs (a | b) & !(a & b): equivalent, but only a SAT
+        // query can merge them.
+        let x1 = ctx.xor(a, b);
+        let o = ctx.or(a, b);
+        let an = ctx.and(a, b);
+        let nan = ctx.not(an);
+        let x2 = ctx.and(o, nan);
+        let mut ts = TransitionSystem::new("trace");
+        for s in [a, b, c] {
+            ts.add_input(s);
+        }
+        ts.add_signal("mux", mux);
+        ts.add_signal("x1", x1);
+        ts.add_signal("x2", x2);
+        let obs = Obs::new(ObsConfig::Deterministic);
+        let mut roots = vec![];
+        let config = OptConfig::default().with_level(level);
+        let stats = optimize(&mut ctx, &mut ts, &mut roots, &config, &obs);
+        (obs.take_events(), stats, obs)
+    }
+
+    #[test]
+    fn trace_opens_one_span_per_stage_call() {
+        for level in [OptLevel::Full, OptLevel::SatSweep] {
+            let (events, stats, obs) = traced_run(level);
+            assert_eq!(stats.rounds, 2, "{level:?}: {stats:?}");
+            let begins: Vec<&str> =
+                events.iter().filter(|ev| ev.phase == Phase::Begin).map(|ev| ev.name).collect();
+            let mut round = vec!["opt.rewrite", "opt.stuck", "opt.rebalance", "opt.coi"];
+            if level == OptLevel::SatSweep {
+                round.push("opt.satsweep");
+            }
+            round.push("opt.sweep");
+            let mut expected = vec!["opt"];
+            for _ in 0..stats.rounds {
+                expected.extend_from_slice(&round);
+            }
+            assert_eq!(begins, expected, "{level:?}");
+            let pairs = obs.metrics().expect("enabled handle").counter(Counter::SweepPairs);
+            if level == OptLevel::SatSweep {
+                assert!(pairs > 0, "the xor pair costs a sweep query");
+            } else {
+                assert_eq!(pairs, 0);
+            }
+        }
+        let (events, stats, _) = traced_run(OptLevel::None);
+        assert!(events.is_empty(), "None records no events: {events:?}");
+        assert_eq!(stats.rounds, 0);
     }
 
     #[test]

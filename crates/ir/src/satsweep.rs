@@ -6,7 +6,7 @@
 //! "these two DAGs compute the same function". The pass runs in three
 //! stages:
 //!
-//! 1. **Signatures.** The [`Simulator`](crate::eval::Simulator) is driven
+//! 1. **Signatures.** The [`Simulator`] is driven
 //!    with deterministically seeded random input *and* state vectors
 //!    ([`Simulator::randomize_inputs`](crate::eval::Simulator::randomize_inputs)
 //!    / `randomize_states`), each vector retried until the environment
@@ -76,7 +76,7 @@
 use crate::bitblast::{BitBlaster, LitEnv};
 use crate::eval::{evaluate, evaluate_all, splitmix64, Env, Simulator};
 use crate::expr::{Context, Expr, ExprRef, UnaryOp};
-use crate::opt::{mk_binary, mk_unary, OptPass, OptStats};
+use crate::opt::rebuild_node;
 use crate::ts::TransitionSystem;
 use crate::value::BitVecValue;
 use genfv_obs::{Counter, Obs};
@@ -215,7 +215,6 @@ impl SweepSolver {
 pub struct SatSweepPass {
     config: SatSweepConfig,
     stats: SatSweepStats,
-    obs: Obs,
     /// CEX stimulus learned from refuted miters, keyed by symbol *name*
     /// so the vectors survive the arena rebuilds between fixpoint rounds.
     learned: Vec<HashMap<String, BitVecValue>>,
@@ -232,17 +231,32 @@ impl SatSweepPass {
 
     /// A pass with explicit tuning.
     pub fn with_config(config: SatSweepConfig) -> Self {
-        SatSweepPass {
-            config,
-            stats: SatSweepStats::default(),
-            obs: Obs::off(),
-            learned: Vec::new(),
-        }
+        SatSweepPass { config, stats: SatSweepStats::default(), learned: Vec::new() }
     }
 
     /// Cumulative counters across every invocation of this pass value.
     pub fn stats(&self) -> &SatSweepStats {
         &self.stats
+    }
+
+    /// Runs the combinational sweep, then register correspondence when
+    /// configured, recording the queries issued and nodes merged on
+    /// `obs`. Returns the number of nodes merged.
+    pub fn run(
+        &mut self,
+        ctx: &mut Context,
+        ts: &mut TransitionSystem,
+        roots: &mut [ExprRef],
+        obs: &Obs,
+    ) -> u64 {
+        let mut queries = 0usize;
+        let mut fired = self.sweep_combinational(ctx, ts, roots, &mut queries);
+        if self.config.merge_registers {
+            fired += self.merge_registers(ctx, ts, roots, &mut queries);
+        }
+        obs.add(Counter::SweepPairs, queries as u64);
+        obs.add(Counter::SweepMerges, fired);
+        fired
     }
 
     // --- stage 1: signatures -------------------------------------------------
@@ -609,57 +623,11 @@ fn rewrite_merged(
     } else {
         match ctx.expr(e).clone() {
             Expr::Const(_) | Expr::Symbol { .. } => e,
-            Expr::Unary(op, a) => {
-                let na = rewrite_merged(ctx, a, merge, memo, fired);
-                mk_unary(ctx, op, na)
-            }
-            Expr::Binary(op, a, b) => {
-                let na = rewrite_merged(ctx, a, merge, memo, fired);
-                let nb = rewrite_merged(ctx, b, merge, memo, fired);
-                mk_binary(ctx, op, na, nb)
-            }
-            Expr::Ite { cond, tru, fls } => {
-                let nc = rewrite_merged(ctx, cond, merge, memo, fired);
-                let nt = rewrite_merged(ctx, tru, merge, memo, fired);
-                let nf = rewrite_merged(ctx, fls, merge, memo, fired);
-                ctx.ite(nc, nt, nf)
-            }
-            Expr::Extract { value, hi, lo } => {
-                let nv = rewrite_merged(ctx, value, merge, memo, fired);
-                ctx.extract(nv, hi, lo)
-            }
+            node => rebuild_node(ctx, &node, |ctx, c| rewrite_merged(ctx, c, merge, memo, fired)),
         }
     };
     memo.insert(e, out);
     out
-}
-
-impl OptPass for SatSweepPass {
-    fn name(&self) -> &'static str {
-        "satsweep"
-    }
-
-    fn run(&mut self, ctx: &mut Context, ts: &mut TransitionSystem, roots: &mut [ExprRef]) -> u64 {
-        let mut queries = 0usize;
-        let mut fired = self.sweep_combinational(ctx, ts, roots, &mut queries);
-        if self.config.merge_registers {
-            fired += self.merge_registers(ctx, ts, roots, &mut queries);
-        }
-        self.obs.add(Counter::SweepPairs, queries as u64);
-        self.obs.add(Counter::SweepMerges, fired);
-        fired
-    }
-
-    fn attach_obs(&mut self, obs: &Obs) {
-        self.obs = obs.clone();
-    }
-
-    fn fold_stats(&self, stats: &mut OptStats) {
-        stats.pairs_proved += self.stats.pairs_proved;
-        stats.pairs_refuted += self.stats.pairs_refuted;
-        stats.nodes_merged += self.stats.nodes_merged;
-        stats.sweep_conflicts += self.stats.sweep_conflicts;
-    }
 }
 
 #[cfg(test)]
@@ -670,11 +638,11 @@ mod tests {
     fn sweep(
         ctx: &mut Context,
         ts: &mut TransitionSystem,
-        roots: &mut Vec<ExprRef>,
+        roots: &mut [ExprRef],
         config: SatSweepConfig,
     ) -> SatSweepStats {
         let mut pass = SatSweepPass::with_config(config);
-        pass.run(ctx, ts, roots.as_mut_slice());
+        pass.run(ctx, ts, roots, &Obs::off());
         *pass.stats()
     }
 
@@ -867,7 +835,7 @@ mod tests {
         ts.add_signal("le", le);
         let mut roots = vec![];
         let mut pass = SatSweepPass::new();
-        pass.run(&mut ctx, &mut ts, roots.as_mut_slice());
+        pass.run(&mut ctx, &mut ts, &mut roots, &Obs::off());
         assert_ne!(ts.signals()[0].1, ts.signals()[1].1, "lt and le must stay distinct");
         // Whether SAT was needed depends on whether random stimulus hit
         // a == b; when it was, the CEX must have been remembered.

@@ -8,10 +8,9 @@
 //! frame, so frames should cost a clause-arena copy with an offset add,
 //! not a DAG traversal.
 //!
-//! A [`Template`] is a one-time blast of a
-//! [`TransitionSystem`](crate::TransitionSystem)'s next-state functions,
-//! environment constraints, and any extra caller expressions over a
-//! private variable space (signal/property cones are *not* stamped per
+//! A [`Template`] is a one-time blast of a [`TransitionSystem`]'s
+//! next-state functions, environment constraints, and any extra caller
+//! expressions over a private variable space (signal/property cones are *not* stamped per
 //! frame — [`Template::materialize`] lowers them on demand in the frames
 //! that query them, reusing every registered template sub-cone):
 //!

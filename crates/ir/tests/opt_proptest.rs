@@ -13,6 +13,7 @@
 use genfv_ir::{
     evaluate, optimize, BitVecValue, Context, Env, ExprRef, OptConfig, Simulator, TransitionSystem,
 };
+use genfv_obs::Obs;
 use proptest::prelude::*;
 
 mod common;
@@ -63,7 +64,7 @@ proptest! {
         let expected = evaluate(&ctx, &env, e);
 
         let mut roots = vec![e];
-        optimize(&mut ctx, &mut ts, &mut roots, &OptConfig::default());
+        optimize(&mut ctx, &mut ts, &mut roots, &OptConfig::default(), &Obs::off());
 
         // The sweep invalidated every pre-optimization ExprRef: re-key
         // the environment by symbol name. Symbols the optimizer removed
@@ -123,7 +124,7 @@ proptest! {
         let ctx0 = ctx.clone();
         let ts0 = ts.clone();
         let mut roots = Vec::new();
-        optimize(&mut ctx, &mut ts, &mut roots, &OptConfig::default());
+        optimize(&mut ctx, &mut ts, &mut roots, &OptConfig::default(), &Obs::off());
 
         let obs1 = ts.find_signal("obs").expect("observable survives");
         let mut ref_sim = Simulator::new(&ctx0, &ts0);

@@ -18,6 +18,7 @@ use genfv_ir::{
     evaluate, optimize, BitVecValue, Context, Env, ExprRef, OptConfig, OptLevel, Simulator,
     TransitionSystem,
 };
+use genfv_obs::Obs;
 use proptest::prelude::*;
 
 mod common;
@@ -72,7 +73,7 @@ proptest! {
         let expected = evaluate(&ctx, &env, e);
 
         let mut roots = vec![e];
-        optimize(&mut ctx, &mut ts, &mut roots, &sweep_config());
+        optimize(&mut ctx, &mut ts, &mut roots, &sweep_config(), &Obs::off());
 
         // The sweep invalidated every pre-optimization ExprRef: re-key
         // the environment by symbol name. Symbols the optimizer removed
@@ -134,7 +135,7 @@ proptest! {
         let ctx0 = ctx.clone();
         let ts0 = ts.clone();
         let mut roots = Vec::new();
-        optimize(&mut ctx, &mut ts, &mut roots, &sweep_config());
+        optimize(&mut ctx, &mut ts, &mut roots, &sweep_config(), &Obs::off());
 
         let obs1 = ts.find_signal("obs").expect("observable survives");
         let mut ref_sim = Simulator::new(&ctx0, &ts0);
@@ -189,7 +190,7 @@ fn merged_cone_stays_evaluator_equivalent() {
     let ctx0 = ctx.clone();
     let ts0 = ts.clone();
     let mut roots = Vec::new();
-    let stats = optimize(&mut ctx, &mut ts, &mut roots, &sweep_config());
+    let stats = optimize(&mut ctx, &mut ts, &mut roots, &sweep_config(), &Obs::off());
     assert!(stats.nodes_merged > 0, "the two XOR encodings must merge");
 
     let s1 = ts.find_signal("x1").unwrap();

@@ -5,11 +5,11 @@
 
 /// A value that can fold another instance of itself into its totals.
 ///
-/// The workspace stats structs (`SessionStats`, `ServiceStats`,
-/// `OptStats`, solver `SolverStats`, metric snapshots) all implement
-/// this; `absorb` is the single merge entry point, whether a worker
-/// shard is folding into a flow total or the service is folding a job
-/// snapshot into its lifetime metrics.
+/// The workspace stats structs (`SessionStats`, `ServiceStats`, solver
+/// `SolverStats`, metric snapshots) all implement this; `absorb` is the
+/// single merge entry point, whether a worker shard is folding into a
+/// flow total or the service is folding a job snapshot into its lifetime
+/// metrics.
 pub trait Accumulate {
     /// Fold `other` into `self`. Additive fields sum, watermark fields
     /// take the max, and "most recent query" fields copy from `other`

@@ -16,7 +16,7 @@
 //! ```text
 //! job                      (service: one verification job)
 //! └─ prepare               (parse → elaborate → compile)
-//!    └─ opt.<pass>         (one span per netlist optimization pass)
+//!    └─ opt.<stage>        (one span per netlist optimizer stage call)
 //! └─ flow.<kind>           (flow1 / flow2 / baseline / combined)
 //!    └─ prove              (one span per target property)
 //!       └─ session.extend.{base,step}   (frame unrolls)
@@ -26,10 +26,11 @@
 //!       └─ solve.{base,step}  (individual solver calls)
 //! ```
 //!
-//! Traces export through the [`TraceSink`] trait: an in-memory
-//! [`RingSink`] for tests, a Chrome `trace_event` JSON exporter
-//! ([`ChromeTrace`], loadable in Perfetto / `chrome://tracing`), and a
-//! human-readable aggregated tree ([`TreeRenderer`]).
+//! Traces export through the [`TraceSink`] trait: a Chrome
+//! `trace_event` JSON exporter ([`ChromeTrace`], loadable in Perfetto /
+//! `chrome://tracing`) and a human-readable aggregated tree
+//! ([`TreeRenderer`]). Callers feed them the events of
+//! [`Obs::take_events`] or an [`ObsReport`].
 //!
 //! ## Metrics
 //!
@@ -65,5 +66,5 @@ pub use metrics::{
     prom_counter, prom_gauge, prom_histogram, AtomicHistogram, Counter, HistogramSnapshot,
     MetricsSnapshot, QueryKind, HIST_BUCKETS,
 };
-pub use sink::{ChromeTrace, RingSink, TraceSink, TreeRenderer};
+pub use sink::{ChromeTrace, TraceSink, TreeRenderer};
 pub use span::{events_recorded_total, Obs, ObsConfig, ObsReport, Phase, Span, TraceEvent};

@@ -1,8 +1,6 @@
-//! Trace sinks: the [`TraceSink`] contract and the three bundled
-//! implementations (in-memory ring, Chrome `trace_event` JSON exporter,
-//! aggregated human-readable tree).
-
-use std::collections::VecDeque;
+//! Trace sinks: the [`TraceSink`] contract and the two bundled
+//! implementations (Chrome `trace_event` JSON exporter, aggregated
+//! human-readable tree).
 
 use crate::json::escape_json;
 use crate::span::{Phase, TraceEvent};
@@ -33,51 +31,6 @@ pub trait TraceSink {
     fn event(&mut self, ev: &TraceEvent);
     /// Seal the sink after the last event.
     fn finish(&mut self) {}
-}
-
-/// Bounded in-memory sink keeping the most recent `cap` events; the
-/// test workhorse.
-pub struct RingSink {
-    cap: usize,
-    events: VecDeque<TraceEvent>,
-    seen: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
-        RingSink { cap: cap.max(1), events: VecDeque::new(), seen: 0 }
-    }
-
-    /// The retained (most recent) events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total events ever fed, including evicted ones.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn event(&mut self, ev: &TraceEvent) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev.clone());
-        self.seen += 1;
-    }
 }
 
 /// Chrome `trace_event` JSON exporter (object form:
@@ -351,19 +304,6 @@ mod tests {
             }
         }
         obs.take_events()
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut ring = RingSink::new(3);
-        for ev in sample_events() {
-            ring.event(&ev);
-        }
-        ring.finish();
-        assert_eq!(ring.len(), 3);
-        assert!(ring.seen() > 3);
-        let last = ring.events().last().expect("retained");
-        assert_eq!((last.name, last.phase), ("flow.flow2", Phase::End));
     }
 
     #[test]

@@ -69,8 +69,9 @@ pub struct TraceEvent {
 /// zero-allocation claim.
 static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
 
-/// Total trace events recorded process-wide (test support; see
-/// [`EVENTS_RECORDED`]).
+/// Total trace events recorded process-wide, by any enabled handle (test
+/// support: the disabled path cannot reach the recording code, so this
+/// stays flat across an [`ObsConfig::Off`] run).
 pub fn events_recorded_total() -> u64 {
     EVENTS_RECORDED.load(Ordering::Relaxed)
 }
@@ -361,15 +362,6 @@ impl Obs {
             None => Vec::new(),
             Some(inner) => inner.collect(true),
         }
-    }
-
-    /// Feed a snapshot of the trace through a [`TraceSink`] (events in
-    /// timestamp order, then `finish`).
-    pub fn flush_to(&self, sink: &mut dyn TraceSink) {
-        for ev in self.snapshot_events() {
-            sink.event(&ev);
-        }
-        sink.finish();
     }
 
     /// Drain the handle into a self-contained [`ObsReport`] (`None` when

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The repo's full gate set. Tier-1 (enforced): release build + tests.
-# Formatting and clippy (all targets: libs, bins and tests) are pinned so
-# style drift cannot accumulate. The differential suites in `cargo test`
-# carry every verdict gate (engine, portfolio, unroll-mode, service and
-# opt/satsweep equivalence). The e0_ledger benchmark is its own Cargo
-# package; its tests (unit tests plus a smoke run of every workload) keep
-# it building against the library crates. e1 runs the paper's example end
+# Formatting, clippy (all targets: libs, bins and tests) and rustdoc (every
+# warning, e.g. a doc link to a deleted or private item, is an error) are
+# pinned so style drift cannot accumulate. The differential suites in
+# `cargo test` carry every verdict gate (engine, portfolio, unroll-mode,
+# service and opt/satsweep equivalence). The e0_ledger benchmark is its
+# own Cargo package; its tests (unit tests plus a smoke run of every
+# workload) keep it building against the library crates. e1 runs the paper's example end
 # to end and exits nonzero on any regression in it. e14 races warm
 # service traffic with tracing Off vs Full and exits nonzero if Full
 # overhead exceeds 5% or the exported Chrome trace fails its schema
@@ -17,6 +18,7 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 cargo test --manifest-path e0_ledger/Cargo.toml
