@@ -1,4 +1,4 @@
-//! The paper's two GenAI-augmented verification flows.
+//! The paper's GenAI-augmented verification flows.
 //!
 //! * [`run_flow1`] (paper Fig. 1): specification + RTL → LLM → helper
 //!   assertions → validate/prove → use as assumptions for the target
@@ -6,23 +6,60 @@
 //! * [`run_flow2`] (paper Fig. 2): k-induction attempt → on inductive-step
 //!   failure, render the CEX waveform into a prompt → LLM → candidate
 //!   invariants → validate → retry, up to an iteration budget.
+//! * [`run_combined`]: Flow 1's upfront lemmas, then Flow 2's repair loop.
+//! * [`run_baseline`]: plain k-induction, no LLM.
 //!
-//! Both flows record a full [`FlowMetrics`] (LLM calls, token counts,
-//! candidate fates, proof effort) and an event log for human inspection.
+//! Each flow is a short composition of stage calls on one private run
+//! state (configuration, event tag, accepted lemmas, [`FlowMetrics`] and
+//! event log); the design travels beside it, because proof sessions
+//! borrow it:
+//!
+//! | flow | stages |
+//! |---|---|
+//! | [`run_flow1`] | `mine_upfront`, then `prove_targets` |
+//! | [`run_flow2`] | `repair_targets` |
+//! | [`run_combined`] | `mine_upfront`, then `repair_targets` |
+//! | [`run_baseline`] | `prove_targets` |
+//!
+//! Underneath them, `consult` is the one place an LLM round trip happens
+//! and is accounted, `evaluate` and `install` run the validation gauntlet
+//! and add what it accepts, and `settle` is the one place a target's
+//! verdict becomes a [`TargetOutcome`] and an event line. Every flow
+//! records a full [`FlowMetrics`] (LLM calls, token counts, candidate
+//! fates, proof effort) and an event log for human inspection.
 
 use crate::design::{PreparedDesign, Target};
-use crate::houdini::validate_batch_with_stats;
+use crate::houdini::validate_batch;
 use crate::validate::{install_lemma, Candidate, Lemma, ValidateConfig, ValidationOutcome};
 use genfv_genai::{LanguageModel, Prompt};
-use genfv_ir::{OptConfig, OptStats};
+use genfv_ir::{ExprRef, OptConfig, OptStats};
 use genfv_mc::{
     prove_rebuild, render_waveform, CheckConfig, EngineMode, PortfolioConfig, ProofSession,
     ProveResult, SessionStats, Trace, UnrollMode,
 };
 use genfv_obs::{Accumulate, Obs};
 use genfv_sva::parse_assertions;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+
+/// Which flow a job runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CorpusMode {
+    /// Paper Fig. 1: upfront lemma generation, then target proofs.
+    Flow1,
+    /// Paper Fig. 2: CEX-driven induction repair.
+    Flow2,
+    /// Flow 1 then Flow 2 ("we utilized both flows").
+    Combined,
+    /// Plain k-induction, no GenAI (no language model is consulted).
+    Baseline,
+}
+
+impl CorpusMode {
+    /// Whether jobs in this mode consult a language model.
+    pub fn needs_model(self) -> bool {
+        !matches!(self, CorpusMode::Baseline)
+    }
+}
 
 /// Counters describing one flow run.
 #[derive(Clone, Debug, Default)]
@@ -201,26 +238,6 @@ impl FlowConfig {
         self
     }
 
-    /// This configuration with `validate` as the candidate-validation
-    /// settings.
-    pub fn with_validate(mut self, validate: ValidateConfig) -> Self {
-        self.validate = validate;
-        self
-    }
-
-    /// This configuration with at most `n` LLM repair iterations (Flow 2).
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// This configuration with Houdini over individually-non-inductive
-    /// candidates switched on or off.
-    pub fn with_houdini(mut self, on: bool) -> Self {
-        self.use_houdini = on;
-        self
-    }
-
     /// This configuration preparing source designs with the given netlist
     /// optimization settings (`OptLevel::None` is the escape hatch /
     /// differential baseline).
@@ -243,11 +260,6 @@ impl FlowConfig {
     /// The observability handle this flow records into.
     pub fn obs(&self) -> &Obs {
         &self.check.obs
-    }
-
-    /// The frame-encoding mode of this flow's session unrollers.
-    pub fn unroll_mode(&self) -> UnrollMode {
-        self.check.unroll_mode
     }
 }
 
@@ -276,215 +288,291 @@ fn unparseable_regions(text: &str, parsed: usize) -> usize {
     mentions.saturating_sub(parsed).min(mentions)
 }
 
-/// Runs the validation gauntlet over a candidate batch against the
-/// (immutable) design: records rejection metrics/events and returns the
-/// indices of accepted candidates for [`install_accepted`]. Split from
-/// installation so repair loops can keep a live [`ProofSession`] — which
-/// borrows the design — across iterations that end up installing nothing.
-fn evaluate_candidates(
-    design: &PreparedDesign,
-    lemmas: &[Lemma],
-    candidates: &[Candidate],
-    config: &FlowConfig,
-    metrics: &mut FlowMetrics,
-    events: &mut Vec<String>,
-) -> Vec<usize> {
-    let lemma_exprs: Vec<_> = lemmas.iter().map(|l| l.expr).collect();
-    let t0 = Instant::now();
-    let (accepted, outcomes, solver_stats) = validate_batch_with_stats(
-        design,
-        &lemma_exprs,
-        candidates,
-        &config.validate,
-        config.use_houdini,
-    );
-    metrics.proof_time += t0.elapsed();
-    metrics.solver.absorb(&solver_stats);
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            ValidationOutcome::CompileRejected(msg) => {
-                metrics.rejected_compile += 1;
-                events.push(format!("  ✗ {}: compile rejected ({msg})", candidates[i].name));
-            }
-            ValidationOutcome::FalseByBmc { at } => {
-                metrics.rejected_false += 1;
-                events.push(format!(
-                    "  ✗ {}: disproven by BMC at cycle {at} (hallucinated invariant)",
-                    candidates[i].name
-                ));
-            }
-            ValidationOutcome::NotInductiveAlone if !accepted.contains(&i) => {
-                metrics.rejected_not_inductive += 1;
-                events.push(format!("  ~ {}: true-looking but not inductive", candidates[i].name));
-            }
-            ValidationOutcome::Unknown(reason) => {
-                metrics.rejected_not_inductive += 1;
-                events.push(format!("  ? {}: {reason}", candidates[i].name));
-            }
-            _ => {}
+/// One flow run's state. The design is not part of it: proof sessions
+/// borrow the design, and installing a lemma mutates it, so every stage
+/// takes it as its own argument.
+struct Run<'a> {
+    config: &'a FlowConfig,
+    /// Prefix of every event line (`flow1`, `flow2`, `combined`,
+    /// `baseline`).
+    tag: &'static str,
+    lemmas: Vec<Lemma>,
+    metrics: FlowMetrics,
+    events: Vec<String>,
+    start: Instant,
+}
+
+impl<'a> Run<'a> {
+    fn new(config: &'a FlowConfig, tag: &'static str) -> Self {
+        Run {
+            config,
+            tag,
+            lemmas: Vec::new(),
+            metrics: FlowMetrics::default(),
+            events: Vec::new(),
+            start: Instant::now(),
         }
     }
-    accepted
-}
 
-/// Compiles the accepted candidates onto the main design (mutating it)
-/// and appends the resulting lemmas.
-fn install_accepted(
-    design: &mut PreparedDesign,
-    lemmas: &mut Vec<Lemma>,
-    candidates: &[Candidate],
-    accepted: &[usize],
-    metrics: &mut FlowMetrics,
-    events: &mut Vec<String>,
-) {
-    for &i in accepted {
-        match install_lemma(design, &candidates[i]) {
-            Ok(lemma) => {
-                events.push(format!("  ✓ {}: proven, installed as lemma", lemma.name));
-                metrics.lemmas_accepted += 1;
-                lemmas.push(lemma);
-            }
-            Err(e) => events.push(format!("  ! {}: install failed: {e}", candidates[i].name)),
+    fn log(&mut self, line: String) {
+        self.events.push(format!("[{}] {line}", self.tag));
+    }
+
+    fn lemma_exprs(&self) -> Vec<ExprRef> {
+        self.lemmas.iter().map(|l| l.expr).collect()
+    }
+
+    /// Paper Fig. 1's upfront phase: one prompt from the specification,
+    /// the RTL and the targets; what validates becomes a lemma.
+    fn mine_upfront(&mut self, design: &mut PreparedDesign, llm: &mut dyn LanguageModel) {
+        let targets: Vec<String> = design.targets.iter().map(|t| t.sva.clone()).collect();
+        let candidates = self.consult(llm, &Prompt::flow1(&design.spec, &design.rtl, &targets));
+        let accepted = self.evaluate(design, &candidates);
+        self.install(design, &candidates, &accepted);
+    }
+
+    /// Proves every target under the accepted lemmas on one session: the
+    /// design is bit-blasted once and each proof reuses the frames and
+    /// learnt clauses of its predecessors.
+    fn prove_targets(&mut self, design: &PreparedDesign) -> Vec<TargetReport> {
+        let mut session = self.open(design);
+        let mut reports = Vec::new();
+        for target in &design.targets {
+            let res = self.prove(design, &mut session, target);
+            reports.push(self.settle(target, res, 0));
         }
+        self.close(session);
+        reports
     }
-}
 
-fn ingest_candidates(
-    design: &mut PreparedDesign,
-    lemmas: &mut Vec<Lemma>,
-    candidates: &[Candidate],
-    config: &FlowConfig,
-    metrics: &mut FlowMetrics,
-    events: &mut Vec<String>,
-) {
-    let accepted = evaluate_candidates(design, lemmas, candidates, config, metrics, events);
-    install_accepted(design, lemmas, candidates, &accepted, metrics, events);
-}
-
-/// Folds a dying session's reuse counters into the flow metrics.
-fn absorb_session(metrics: &mut FlowMetrics, session: &Option<ProofSession<'_>>) {
-    if let Some(s) = session {
-        metrics.solver.absorb(s.stats());
+    /// Paper Fig. 2 for every target: on an induction-step failure, render
+    /// the counterexample into a prompt, consult the model, and retry with
+    /// whatever validates, up to `max_iterations` repairs per target.
+    ///
+    /// Each target gets a fresh session, kept across repairs that install
+    /// nothing: re-proving an unchanged obligation set returns the same
+    /// step failure, so its counterexample is reused instead. Installing a
+    /// lemma mutates the design, which ends the session's borrow; the next
+    /// attempt opens a new one.
+    fn repair_targets(
+        &mut self,
+        design: &mut PreparedDesign,
+        llm: &mut dyn LanguageModel,
+    ) -> Vec<TargetReport> {
+        let targets = design.targets.clone();
+        let mut reports = Vec::new();
+        for target in &targets {
+            let mut repairs = 0;
+            let report = loop {
+                let mut session = self.open(design);
+                let res = self.prove(design, &mut session, target);
+                let fix = loop {
+                    let ProveResult::StepFailure { k, trace, .. } = &res else { break None };
+                    if repairs == self.config.max_iterations {
+                        break None;
+                    }
+                    repairs += 1;
+                    self.metrics.iterations += 1;
+                    self.log(format!(
+                        "`{}` induction step failed at k={k}; repair iteration {repairs}",
+                        target.name
+                    ));
+                    let values = trace
+                        .last_step()
+                        .map(|s| s.values.iter().map(|(n, v)| (n.clone(), v.to_string())).collect())
+                        .unwrap_or_default();
+                    let waveform = render_waveform(trace);
+                    let prompt = Prompt::flow2(&design.rtl, &target.sva, &waveform, &values);
+                    let candidates = self.consult(llm, &prompt);
+                    let accepted = self.evaluate(design, &candidates);
+                    if !accepted.is_empty() {
+                        break Some((candidates, accepted));
+                    }
+                    self.log(format!(
+                        "  no new lemmas accepted in iteration {repairs}; keeping the session and \
+                         its counterexample"
+                    ));
+                };
+                self.close(session);
+                match fix {
+                    Some((candidates, accepted)) => self.install(design, &candidates, &accepted),
+                    None => break self.settle(target, res, repairs),
+                }
+            };
+            reports.push(report);
+        }
+        reports
     }
-}
 
-/// The CEX-driven repair loop for one target (paper Fig. 2), shared by
-/// [`run_flow2`] and [`run_combined`].
-///
-/// In incremental mode one [`ProofSession`] serves every proof attempt
-/// under a given lemma set; it is torn down only when a repair iteration
-/// actually installs a lemma, which mutates the design and therefore
-/// invalidates the session's borrow. Iterations that install nothing keep
-/// the session *and* its last step-failure verdict: re-proving an
-/// unchanged obligation set on a fresh session provably returns the
-/// identical result (the solver is deterministic and the inputs are
-/// unchanged), so the redundant rebuild-plus-re-prove the old
-/// per-attempt architecture paid is skipped outright.
-#[allow(clippy::too_many_arguments)]
-fn repair_target(
-    design: &mut PreparedDesign,
-    lemmas: &mut Vec<Lemma>,
-    target: &Target,
-    llm: &mut dyn LanguageModel,
-    config: &FlowConfig,
-    metrics: &mut FlowMetrics,
-    events: &mut Vec<String>,
-    tag: &str,
-) -> TargetOutcome {
-    let mut iteration = 0usize;
-    'attempts: loop {
-        let lemma_exprs: Vec<_> = lemmas.iter().map(|l| l.expr).collect();
-        let mut session = (config.engine() == EngineMode::Incremental).then(|| {
-            let mut s = ProofSession::new(&design.ctx, &design.ts, config.check.clone());
-            s.add_lemmas(&lemma_exprs);
-            s
-        });
+    /// One LLM round trip: sends `prompt`, accounts the call and its
+    /// tokens, and parses candidates out of the completion.
+    fn consult(&mut self, llm: &mut dyn LanguageModel, prompt: &Prompt) -> Vec<Candidate> {
+        self.log(format!(
+            "call {}: prompting {} ({} tokens)",
+            self.metrics.llm_calls + 1,
+            llm.name(),
+            prompt.token_estimate()
+        ));
+        let completion = llm.complete(prompt);
+        let candidates = candidates_from_completion(&completion.text);
+        let malformed = unparseable_regions(&completion.text, candidates.len());
+        let m = &mut self.metrics;
+        m.llm_calls += 1;
+        m.prompt_tokens += completion.prompt_tokens;
+        m.completion_tokens += completion.completion_tokens;
+        m.llm_latency += completion.latency;
+        m.candidates_parsed += candidates.len();
+        m.candidates_unparseable += malformed;
+        self.log(format!(
+            "  {} candidates parsed, {malformed} malformed regions",
+            candidates.len()
+        ));
+        candidates
+    }
+
+    /// Runs the validation gauntlet over `candidates` against the design,
+    /// records every rejection, and returns the indices of the accepted
+    /// ones for `install`. It only reads the design, so a repair loop
+    /// keeps its live session across iterations that accept nothing.
+    fn evaluate(&mut self, design: &PreparedDesign, candidates: &[Candidate]) -> Vec<usize> {
         let t0 = Instant::now();
-        let mut res = match session.as_mut() {
+        let (accepted, outcomes, stats) = validate_batch(
+            design,
+            &self.lemma_exprs(),
+            candidates,
+            &self.config.validate,
+            self.config.use_houdini,
+        );
+        self.metrics.proof_time += t0.elapsed();
+        self.metrics.solver.absorb(&stats);
+        for (i, (candidate, outcome)) in candidates.iter().zip(&outcomes).enumerate() {
+            let name = &candidate.name;
+            let m = &mut self.metrics;
+            let line = match outcome {
+                ValidationOutcome::CompileRejected(msg) => {
+                    m.rejected_compile += 1;
+                    format!("✗ {name}: compile rejected ({msg})")
+                }
+                ValidationOutcome::FalseByBmc { at } => {
+                    m.rejected_false += 1;
+                    format!("✗ {name}: disproven by BMC at cycle {at} (hallucinated invariant)")
+                }
+                ValidationOutcome::NotInductiveAlone if !accepted.contains(&i) => {
+                    m.rejected_not_inductive += 1;
+                    format!("~ {name}: true-looking but not inductive")
+                }
+                ValidationOutcome::Unknown(reason) => {
+                    m.rejected_not_inductive += 1;
+                    format!("? {name}: {reason}")
+                }
+                _ => continue,
+            };
+            self.log(format!("  {line}"));
+        }
+        accepted
+    }
+
+    /// Compiles the accepted candidates onto the design (mutating it) and
+    /// appends the resulting lemmas.
+    fn install(
+        &mut self,
+        design: &mut PreparedDesign,
+        candidates: &[Candidate],
+        accepted: &[usize],
+    ) {
+        for &i in accepted {
+            match install_lemma(design, &candidates[i]) {
+                Ok(lemma) => {
+                    self.log(format!("  ✓ {}: proven, installed as lemma", lemma.name));
+                    self.metrics.lemmas_accepted += 1;
+                    self.lemmas.push(lemma);
+                }
+                Err(e) => self.log(format!("  ! {}: install failed: {e}", candidates[i].name)),
+            }
+        }
+    }
+
+    /// A proof session with the accepted lemmas installed, or `None` when
+    /// the reference engine rebuilds per query.
+    fn open<'d>(&self, design: &'d PreparedDesign) -> Option<ProofSession<'d>> {
+        (self.config.engine() == EngineMode::Incremental).then(|| {
+            let mut session = ProofSession::new(&design.ctx, &design.ts, self.config.check.clone());
+            session.add_lemmas(&self.lemma_exprs());
+            session
+        })
+    }
+
+    /// Proves `target` under the accepted lemmas, on `session` if there is
+    /// one and with fresh engines otherwise.
+    fn prove(
+        &mut self,
+        design: &PreparedDesign,
+        session: &mut Option<ProofSession<'_>>,
+        target: &Target,
+    ) -> ProveResult {
+        let t0 = Instant::now();
+        let res = match session {
             Some(s) => s.prove(&target.prop),
-            None => {
-                prove_rebuild(&design.ctx, &design.ts, &target.prop, &lemma_exprs, &config.check)
+            None => prove_rebuild(
+                &design.ctx,
+                &design.ts,
+                &target.prop,
+                &self.lemma_exprs(),
+                &self.config.check,
+            ),
+        };
+        self.metrics.proof_time += t0.elapsed();
+        res
+    }
+
+    /// Folds a finished session's reuse counters into the metrics.
+    fn close(&mut self, session: Option<ProofSession<'_>>) {
+        if let Some(s) = session {
+            self.metrics.solver.absorb(s.stats());
+        }
+    }
+
+    /// Settles `target`: the one mapping from a proof result to a
+    /// [`TargetOutcome`], and its event line.
+    fn settle(&mut self, target: &Target, res: ProveResult, repairs: usize) -> TargetReport {
+        let lemmas_used = self.lemmas.len();
+        let (line, outcome) = match res {
+            ProveResult::Proven { k, .. } => (
+                format!(
+                    "proven at k={k} after {repairs} repair iteration(s) ({lemmas_used} lemmas)"
+                ),
+                TargetOutcome::Proven { k, lemmas_used },
+            ),
+            ProveResult::Falsified { at, .. } => {
+                (format!("falsified at cycle {at}"), TargetOutcome::Falsified { at })
+            }
+            ProveResult::StepFailure { k, trace, .. } => (
+                format!("still failing at k={k} after {repairs} repair iteration(s)"),
+                TargetOutcome::StillUnproven { k, trace: Box::new(trace) },
+            ),
+            ProveResult::Unknown { reason, .. } => {
+                (format!("unknown: {reason}"), TargetOutcome::Unknown { reason })
             }
         };
-        metrics.proof_time += t0.elapsed();
-        loop {
-            match res {
-                ProveResult::Proven { k, .. } => {
-                    events.push(format!(
-                        "[{tag}] `{}` proven at k={k} after {iteration} repair iteration(s) \
-                         ({} lemmas)",
-                        target.name,
-                        lemma_exprs.len()
-                    ));
-                    absorb_session(metrics, &session);
-                    return TargetOutcome::Proven { k, lemmas_used: lemma_exprs.len() };
-                }
-                ProveResult::Falsified { at, .. } => {
-                    events.push(format!("[{tag}] `{}` falsified at cycle {at}", target.name));
-                    absorb_session(metrics, &session);
-                    return TargetOutcome::Falsified { at };
-                }
-                ProveResult::Unknown { reason, .. } => {
-                    absorb_session(metrics, &session);
-                    return TargetOutcome::Unknown { reason };
-                }
-                ProveResult::StepFailure { k, trace, stats } => {
-                    if iteration == config.max_iterations {
-                        events.push(format!(
-                            "[{tag}] `{}` exhausted {} iterations, still failing at k={k}",
-                            target.name, config.max_iterations
-                        ));
-                        absorb_session(metrics, &session);
-                        return TargetOutcome::StillUnproven { k, trace: Box::new(trace) };
-                    }
-                    iteration += 1;
-                    metrics.iterations += 1;
-                    events.push(format!(
-                        "[{tag}] `{}` induction step failed at k={k}; consulting {}",
-                        target.name,
-                        llm.name()
-                    ));
-                    // Render the CEX into the prompt (paper Fig. 2 inputs).
-                    let waveform = render_waveform(&trace);
-                    let final_values: BTreeMap<String, String> = trace
-                        .last_step()
-                        .map(|s| {
-                            s.values.iter().map(|(k, v)| (k.clone(), format!("{v}"))).collect()
-                        })
-                        .unwrap_or_default();
-                    let prompt = Prompt::flow2(&design.rtl, &target.sva, &waveform, &final_values);
-                    let completion = llm.complete(&prompt);
-                    metrics.llm_calls += 1;
-                    metrics.prompt_tokens += completion.prompt_tokens;
-                    metrics.completion_tokens += completion.completion_tokens;
-                    metrics.llm_latency += completion.latency;
+        self.log(format!("`{}` {line}", target.name));
+        TargetReport { name: target.name.clone(), outcome }
+    }
 
-                    let candidates = candidates_from_completion(&completion.text);
-                    metrics.candidates_parsed += candidates.len();
-                    metrics.candidates_unparseable +=
-                        unparseable_regions(&completion.text, candidates.len());
-                    events.push(format!(
-                        "[{tag}]   {} candidates parsed from completion",
-                        candidates.len()
-                    ));
-                    let accepted =
-                        evaluate_candidates(design, lemmas, &candidates, config, metrics, events);
-                    if accepted.is_empty() {
-                        events.push(format!(
-                            "[{tag}]   no new lemmas accepted in iteration {iteration}; keeping \
-                             the session and its counterexample"
-                        ));
-                        // Unchanged lemma set ⇒ identical re-prove; keep the
-                        // session and reuse the verdict instead of paying it.
-                        res = ProveResult::StepFailure { k, trace, stats };
-                        continue;
-                    }
-                    absorb_session(metrics, &session);
-                    drop(session);
-                    install_accepted(design, lemmas, &candidates, &accepted, metrics, events);
-                    continue 'attempts;
-                }
-            }
+    fn report(
+        mut self,
+        design: &PreparedDesign,
+        model: &str,
+        targets: Vec<TargetReport>,
+    ) -> FlowReport {
+        self.metrics.total_time = self.start.elapsed();
+        FlowReport {
+            design: design.name.clone(),
+            model: model.to_string(),
+            targets,
+            lemmas: self.lemmas,
+            metrics: self.metrics,
+            opt: design.opt_stats.clone(),
+            events: self.events,
         }
     }
 }
@@ -497,81 +585,10 @@ pub fn run_flow1(
     config: &FlowConfig,
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.flow1", || design.name.clone());
-    let start = Instant::now();
-    let mut metrics = FlowMetrics::default();
-    let mut events = Vec::new();
-    let mut lemmas: Vec<Lemma> = Vec::new();
-
-    let targets_sva: Vec<String> = design.targets.iter().map(|t| t.sva.clone()).collect();
-    let prompt = Prompt::flow1(&design.spec, &design.rtl, &targets_sva);
-    events.push(format!("[flow1] prompting {} ({} tokens)", llm.name(), prompt.token_estimate()));
-    let completion = llm.complete(&prompt);
-    metrics.llm_calls += 1;
-    metrics.prompt_tokens += completion.prompt_tokens;
-    metrics.completion_tokens += completion.completion_tokens;
-    metrics.llm_latency += completion.latency;
-
-    let candidates = candidates_from_completion(&completion.text);
-    metrics.candidates_parsed += candidates.len();
-    metrics.candidates_unparseable += unparseable_regions(&completion.text, candidates.len());
-    events.push(format!(
-        "[flow1] completion: {} candidates parsed, {} malformed regions",
-        candidates.len(),
-        metrics.candidates_unparseable
-    ));
-    ingest_candidates(&mut design, &mut lemmas, &candidates, config, &mut metrics, &mut events);
-
-    // Prove targets with the accepted lemmas — one session for the whole
-    // batch: the design is bit-blasted once and every target proof reuses
-    // the frames and learnt clauses of its predecessors. (In rebuild mode
-    // each target gets fresh unrollers instead.)
-    let lemma_exprs: Vec<_> = lemmas.iter().map(|l| l.expr).collect();
-    let mut target_reports = Vec::new();
-    let mut session = (config.engine() == EngineMode::Incremental).then(|| {
-        let mut s = ProofSession::new(&design.ctx, &design.ts, config.check.clone());
-        s.add_lemmas(&lemma_exprs);
-        s
-    });
-    for target in &design.targets {
-        let t0 = Instant::now();
-        let res = match session.as_mut() {
-            Some(s) => s.prove(&target.prop),
-            None => {
-                prove_rebuild(&design.ctx, &design.ts, &target.prop, &lemma_exprs, &config.check)
-            }
-        };
-        metrics.proof_time += t0.elapsed();
-        let outcome = match res {
-            ProveResult::Proven { k, .. } => {
-                events.push(format!("[flow1] target `{}` proven at k={k}", target.name));
-                TargetOutcome::Proven { k, lemmas_used: lemma_exprs.len() }
-            }
-            ProveResult::Falsified { at, .. } => {
-                events.push(format!("[flow1] target `{}` falsified at cycle {at}", target.name));
-                TargetOutcome::Falsified { at }
-            }
-            ProveResult::StepFailure { k, trace, .. } => {
-                events.push(format!("[flow1] target `{}` still fails step at k={k}", target.name));
-                TargetOutcome::StillUnproven { k, trace: Box::new(trace) }
-            }
-            ProveResult::Unknown { reason, .. } => TargetOutcome::Unknown { reason },
-        };
-        target_reports.push(TargetReport { name: target.name.clone(), outcome });
-    }
-    if let Some(s) = &session {
-        metrics.solver.absorb(s.stats());
-    }
-
-    metrics.total_time = start.elapsed();
-    FlowReport {
-        design: design.name.clone(),
-        model: llm.name().to_string(),
-        targets: target_reports,
-        lemmas,
-        metrics,
-        opt: design.opt_stats.clone(),
-        events,
-    }
+    let mut run = Run::new(config, "flow1");
+    run.mine_upfront(&mut design, llm);
+    let targets = run.prove_targets(&design);
+    run.report(&design, llm.name(), targets)
 }
 
 /// Runs the paper's Flow 2 (Fig. 2): CEX-driven induction repair for every
@@ -582,84 +599,9 @@ pub fn run_flow2(
     config: &FlowConfig,
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.flow2", || design.name.clone());
-    let start = Instant::now();
-    let mut metrics = FlowMetrics::default();
-    let mut events = Vec::new();
-    let mut lemmas: Vec<Lemma> = Vec::new();
-    let mut target_reports = Vec::new();
-
-    let targets = design.targets.clone();
-    for target in &targets {
-        let outcome = repair_target(
-            &mut design,
-            &mut lemmas,
-            target,
-            llm,
-            config,
-            &mut metrics,
-            &mut events,
-            "flow2",
-        );
-        target_reports.push(TargetReport { name: target.name.clone(), outcome });
-    }
-
-    metrics.total_time = start.elapsed();
-    FlowReport {
-        design: design.name.clone(),
-        model: llm.name().to_string(),
-        targets: target_reports,
-        lemmas,
-        metrics,
-        opt: design.opt_stats.clone(),
-        events,
-    }
-}
-
-/// Baseline: plain k-induction with no GenAI assistance (for the
-/// with/without comparisons of experiment E4).
-pub fn run_baseline(design: &PreparedDesign, config: &FlowConfig) -> FlowReport {
-    let _span = config.obs().span_with("flow.baseline", || design.name.clone());
-    let start = Instant::now();
-    let mut metrics = FlowMetrics::default();
-    let mut events = Vec::new();
-    let mut target_reports = Vec::new();
-    // One session for the whole baseline: no lemmas, shared frames.
-    let mut session = (config.engine() == EngineMode::Incremental)
-        .then(|| ProofSession::new(&design.ctx, &design.ts, config.check.clone()));
-    for target in &design.targets {
-        let t0 = Instant::now();
-        let res = match session.as_mut() {
-            Some(s) => s.prove(&target.prop),
-            None => prove_rebuild(&design.ctx, &design.ts, &target.prop, &[], &config.check),
-        };
-        metrics.proof_time += t0.elapsed();
-        let outcome = match res {
-            ProveResult::Proven { k, .. } => {
-                events.push(format!("[baseline] `{}` proven at k={k}", target.name));
-                TargetOutcome::Proven { k, lemmas_used: 0 }
-            }
-            ProveResult::Falsified { at, .. } => TargetOutcome::Falsified { at },
-            ProveResult::StepFailure { k, trace, .. } => {
-                events.push(format!("[baseline] `{}` fails step at k={k}", target.name));
-                TargetOutcome::StillUnproven { k, trace: Box::new(trace) }
-            }
-            ProveResult::Unknown { reason, .. } => TargetOutcome::Unknown { reason },
-        };
-        target_reports.push(TargetReport { name: target.name.clone(), outcome });
-    }
-    if let Some(s) = &session {
-        metrics.solver.absorb(s.stats());
-    }
-    metrics.total_time = start.elapsed();
-    FlowReport {
-        design: design.name.clone(),
-        model: "none (baseline)".to_string(),
-        targets: target_reports,
-        lemmas: Vec::new(),
-        metrics,
-        opt: design.opt_stats.clone(),
-        events,
-    }
+    let mut run = Run::new(config, "flow2");
+    let targets = run.repair_targets(&mut design, llm);
+    run.report(&design, llm.name(), targets)
 }
 
 /// Runs both flows the way the paper describes using them together
@@ -668,56 +610,23 @@ pub fn run_baseline(design: &PreparedDesign, config: &FlowConfig) -> FlowReport 
 /// target that still fails its induction step. The returned report carries
 /// the union of accepted lemmas and the merged metrics.
 pub fn run_combined(
-    design: PreparedDesign,
+    mut design: PreparedDesign,
     llm: &mut dyn LanguageModel,
     config: &FlowConfig,
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.combined", || design.name.clone());
-    let start = Instant::now();
-    let mut metrics = FlowMetrics::default();
-    let mut events = Vec::new();
-    let mut lemmas: Vec<Lemma> = Vec::new();
+    let mut run = Run::new(config, "combined");
+    run.mine_upfront(&mut design, llm);
+    let targets = run.repair_targets(&mut design, llm);
+    run.report(&design, llm.name(), targets)
+}
 
-    // --- Flow 1 phase: one upfront prompt. ---------------------------------
-    let mut design = design;
-    let targets_sva: Vec<String> = design.targets.iter().map(|t| t.sva.clone()).collect();
-    let prompt = Prompt::flow1(&design.spec, &design.rtl, &targets_sva);
-    events.push(format!("[combined] flow-1 phase: prompting {}", llm.name()));
-    let completion = llm.complete(&prompt);
-    metrics.llm_calls += 1;
-    metrics.prompt_tokens += completion.prompt_tokens;
-    metrics.completion_tokens += completion.completion_tokens;
-    metrics.llm_latency += completion.latency;
-    let candidates = candidates_from_completion(&completion.text);
-    metrics.candidates_parsed += candidates.len();
-    metrics.candidates_unparseable += unparseable_regions(&completion.text, candidates.len());
-    ingest_candidates(&mut design, &mut lemmas, &candidates, config, &mut metrics, &mut events);
-
-    // --- Flow 2 phase: repair whatever still fails. -------------------------
-    let mut target_reports = Vec::new();
-    let targets = design.targets.clone();
-    for target in &targets {
-        let outcome = repair_target(
-            &mut design,
-            &mut lemmas,
-            target,
-            llm,
-            config,
-            &mut metrics,
-            &mut events,
-            "combined",
-        );
-        target_reports.push(TargetReport { name: target.name.clone(), outcome });
-    }
-
-    metrics.total_time = start.elapsed();
-    FlowReport {
-        design: design.name.clone(),
-        model: llm.name().to_string(),
-        targets: target_reports,
-        lemmas,
-        metrics,
-        opt: design.opt_stats.clone(),
-        events,
-    }
+/// Baseline: plain k-induction with no GenAI assistance (for the
+/// with/without comparisons of experiment E4). Borrows the design, since
+/// nothing is installed on it.
+pub fn run_baseline(design: &PreparedDesign, config: &FlowConfig) -> FlowReport {
+    let _span = config.obs().span_with("flow.baseline", || design.name.clone());
+    let mut run = Run::new(config, "baseline");
+    let targets = run.prove_targets(design);
+    run.report(design, "none (baseline)", targets)
 }

@@ -398,21 +398,9 @@ fn base_check_survivors(
     dropped
 }
 
-/// Convenience: validates a batch with individual induction first, then
-/// Houdini over the stragglers. Returns `(accepted_indices, outcomes)`.
-pub fn validate_batch(
-    design: &PreparedDesign,
-    proven_lemmas: &[ExprRef],
-    candidates: &[Candidate],
-    config: &ValidateConfig,
-    use_houdini: bool,
-) -> (Vec<usize>, Vec<ValidationOutcome>) {
-    let (accepted, outcomes, _) =
-        validate_batch_with_stats(design, proven_lemmas, candidates, config, use_houdini);
-    (accepted, outcomes)
-}
-
-/// [`validate_batch`] plus the solver-reuse statistics of the batch.
+/// Validates a candidate batch: individual induction first, then Houdini
+/// over the stragglers. Returns `(accepted_indices, outcomes, stats)`,
+/// the last being the solver-reuse statistics of the batch.
 ///
 /// Every candidate is compiled onto one design clone, and one
 /// [`ProofSession`] with `proven_lemmas` installed answers each
@@ -429,7 +417,7 @@ pub fn validate_batch(
 /// on its own clone, because its distinct-state constraints quantify over
 /// every register, other candidates' monitors included. Both then run
 /// standalone [`houdini()`].
-pub fn validate_batch_with_stats(
+pub fn validate_batch(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
     candidates: &[Candidate],
@@ -583,7 +571,7 @@ endmodule
             cand("a == b_typo_sig"), // compile reject
             cand("a != b"),          // false
         ];
-        let (accepted, outcomes) = validate_batch(&d, &[], &cands, &Default::default(), true);
+        let (accepted, outcomes, _) = validate_batch(&d, &[], &cands, &Default::default(), true);
         assert_eq!(accepted, vec![0, 1]);
         assert!(matches!(outcomes[2], ValidationOutcome::CompileRejected(_)));
         assert!(matches!(outcomes[3], ValidationOutcome::FalseByBmc { .. }));
@@ -614,7 +602,7 @@ endmodule
     fn validate_batch_without_houdini_parks_stragglers() {
         let d = mutually_inductive_design();
         let cands = vec![cand("a == b"), cand("&a |-> &b")];
-        let (accepted, outcomes) = validate_batch(&d, &[], &cands, &Default::default(), false);
+        let (accepted, outcomes, _) = validate_batch(&d, &[], &cands, &Default::default(), false);
         assert_eq!(accepted, vec![0]);
         assert_eq!(outcomes[1], ValidationOutcome::NotInductiveAlone);
     }
@@ -629,8 +617,7 @@ endmodule
         let run = |use_houdini: bool| {
             let mut config = ValidateConfig::default();
             config.check.obs = Obs::new(ObsConfig::Deterministic);
-            let (accepted, _, stats) =
-                validate_batch_with_stats(&d, &[], &cands, &config, use_houdini);
+            let (accepted, _, stats) = validate_batch(&d, &[], &cands, &config, use_houdini);
             let metrics = config.check.obs.metrics().expect("obs enabled");
             (accepted, stats, metrics.latency(QueryKind::Base).count)
         };
@@ -664,10 +651,10 @@ endmodule
         let config = ValidateConfig::default();
         let per_candidate: Vec<ValidationOutcome> =
             candidates.iter().map(|c| validate_candidate(&design, &[], c, &config)).collect();
-        let (_, batch) = validate_batch(&design, &[], &candidates, &config, false);
+        let (_, batch, _) = validate_batch(&design, &[], &candidates, &config, false);
         assert_eq!(batch, per_candidate);
 
-        let (accepted, _) = validate_batch(&design, &[], &candidates, &config, true);
+        let (accepted, _, _) = validate_batch(&design, &[], &candidates, &config, true);
         let mut expected = houdini(&design, &[], &candidates, &config).accepted;
         expected.extend((0..candidates.len()).filter(|&i| per_candidate[i].is_proven()));
         expected.sort_unstable();
@@ -680,11 +667,10 @@ endmodule
     fn batch_empty_and_single_inputs() {
         let design = PreparedDesign::new("sync", SYNC, "spec", &[]).unwrap();
         let config = ValidateConfig::default();
-        let (accepted, outcomes, stats) =
-            validate_batch_with_stats(&design, &[], &[], &config, true);
+        let (accepted, outcomes, stats) = validate_batch(&design, &[], &[], &config, true);
         assert!(accepted.is_empty() && outcomes.is_empty());
         assert_eq!(stats.bitblasts, 0, "an empty batch opens no session");
-        let (accepted, outcomes) =
+        let (accepted, outcomes, _) =
             validate_batch(&design, &[], &[cand("count1 == count2")], &config, true);
         assert_eq!(accepted, vec![0]);
         assert!(outcomes[0].is_proven());

@@ -9,7 +9,12 @@
 //!   waveform plus the RTL are rendered into a prompt; the LLM's candidate
 //!   invariants are validated and the proof retried, in a bounded repair
 //!   loop.
+//! * [`run_combined`] — both, the way the paper uses them: Flow 1's
+//!   upfront lemmas, then Flow 2's repair loop for what still fails.
 //! * [`run_baseline`] — plain k-induction, for with/without comparisons.
+//!
+//! Each flow is a short composition of private stages on one run state
+//! (see the [`flows`] module docs for which flow calls which stage).
 //!
 //! **Soundness boundary.** Model output is untrusted text. Candidates are
 //! parsed ([`genfv_sva::parse_assertions`]), compiled (phantom signals
@@ -32,7 +37,7 @@
 //! targets on shared sessions wherever the design is stable. The
 //! pre-session architecture survives behind
 //! [`genfv_mc::EngineMode::RebuildPerQuery`]
-//! (selectable through [`ValidateConfig::engine`] /
+//! (selectable through [`ValidateConfig::engine`] or
 //! [`FlowConfig::with_engine`]) as the reference for the corpus
 //! differential suite (`session_differential.rs` in `genfv-designs`); both
 //! modes produce identical verdicts, the incremental one just gets there
@@ -46,20 +51,20 @@
 //! `genfv-portfolio`, checked against single-solver sessions by
 //! `portfolio_differential.rs` in `genfv-designs`), and whole design
 //! corpora distribute over the persistent worker pool of the
-//! `genfv-service` crate's `VerificationService` (driven by
-//! [`CorpusConfig`]; `genfv_service::run_corpus` is the synchronous
-//! wrapper) — each job keeping the long-lived sessions the flows already
-//! use, with reports stitched back in submission order independent of
-//! scheduling.
+//! `genfv-service` crate's `VerificationService` (each job runs the flow
+//! its [`CorpusMode`] names; `genfv_service::run_corpus` is the
+//! synchronous wrapper, configured by a `genfv_service::ServiceConfig`) —
+//! each job keeping the long-lived sessions the flows already use, with
+//! reports stitched back in submission order independent of scheduling.
 //!
-//! **Builder convention.** Every configuration struct in the workspace
-//! ([`FlowConfig`], [`ValidateConfig`], [`CorpusConfig`],
-//! `genfv_mc::CheckConfig`, `genfv_service::ServiceConfig`, …) follows
-//! one shape: construct the sensible default with [`Default::default`],
-//! then refine it with chainable consuming `with_*` methods —
-//! `CorpusConfig::default().with_workers(4).with_mode(CorpusMode::Baseline)`.
-//! The fields stay `pub` so struct-literal updates keep working, but the
-//! `with_*` form is the documented style and what the examples use.
+//! **Builder convention.** Configuration structs ([`FlowConfig`],
+//! [`OptConfig`], `genfv_service::ServiceConfig`, …) start from
+//! [`Default::default`] and are refined with chainable consuming `with_*`
+//! methods —
+//! `ServiceConfig::default().with_workers(4).with_mode(CorpusMode::Baseline)`.
+//! Fields stay `pub`: plain-data configs without builders
+//! ([`ValidateConfig`], `genfv_mc::CheckConfig`) take struct-literal
+//! updates.
 //!
 //! **Typed errors.** Every fallible entry point returns
 //! [`enum@Error`] — parse / design / compile / service variants carrying
@@ -90,7 +95,6 @@ pub mod error;
 pub mod flows;
 pub mod houdini;
 pub mod report;
-pub mod shard;
 pub mod validate;
 
 pub use design::{PreparedDesign, Target};
@@ -99,14 +103,13 @@ pub use design::{PreparedDesign, Target};
 // `genfv-ir` directly.
 pub use error::{Error, ServiceError};
 pub use flows::{
-    run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowMetrics, FlowReport,
-    TargetOutcome, TargetReport,
+    run_baseline, run_combined, run_flow1, run_flow2, CorpusMode, FlowConfig, FlowMetrics,
+    FlowReport, TargetOutcome, TargetReport,
 };
 pub use genfv_ir::{OptConfig, OptLevel, OptStats};
 pub use genfv_obs::{Accumulate, Obs, ObsConfig, ObsReport};
 pub use houdini::{houdini, validate_batch, HoudiniResult};
 pub use report::{render_events, render_report, summarize_targets, Table};
-pub use shard::{CorpusConfig, CorpusMode};
 pub use validate::{
     install_lemma, validate_candidate, Candidate, Lemma, ValidateConfig, ValidationOutcome,
 };

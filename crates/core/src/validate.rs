@@ -100,26 +100,6 @@ impl Default for ValidateConfig {
     }
 }
 
-impl ValidateConfig {
-    /// This configuration with BMC sanity depth `depth`.
-    pub fn with_bmc_depth(mut self, depth: usize) -> Self {
-        self.bmc_depth = depth;
-        self
-    }
-
-    /// This configuration with induction settings `check`.
-    pub fn with_check(mut self, check: CheckConfig) -> Self {
-        self.check = check;
-        self
-    }
-
-    /// This configuration answering queries with `engine`.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-}
-
 /// Validates one candidate against a clone of the design.
 ///
 /// `proven_lemmas` (expressions over the design context) are assumed

@@ -16,7 +16,8 @@
 //!   `e14_obs` bench, where warmup and repetition make timing
 //!   meaningful.
 
-use genfv_core::{run_baseline, FlowConfig};
+use genfv_core::{run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowReport};
+use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{CheckConfig, UnrollMode};
 use genfv_obs::{Obs, ObsConfig, Phase, TraceEvent};
 
@@ -134,4 +135,38 @@ fn deterministic_events_use_the_logical_clock() {
     let span = events.last().expect("non-empty").ts - events[0].ts;
     assert!(span < 1_000_000, "timestamps look like wall time, not ticks: span {span}");
     assert!(events.iter().any(|e| e.phase == Phase::Begin && e.name.starts_with("solve.")));
+}
+
+/// Each flow's skeleton of `flow.*` and `prove` spans on the paper's
+/// example design. The ledger's `flow.self_ms_per_job` and
+/// `prove.self_ms_per_job` rows read these spans, so they must stay where
+/// they are whatever the flows' internals look like.
+#[test]
+fn flow_span_skeletons_are_pinned() {
+    let design = genfv_designs::by_name("sync_counters").expect("in corpus").prepare().unwrap();
+    let skeleton = |run: &dyn Fn(&FlowConfig) -> FlowReport| {
+        let obs = Obs::new(ObsConfig::Deterministic);
+        run(&FlowConfig::default().with_obs(obs.clone()));
+        let events = obs.take_events().into_iter();
+        events
+            .filter(|e| e.phase == Phase::Begin)
+            .map(|e| e.name)
+            .filter(|name| name.starts_with("flow.") || *name == "prove")
+            .collect::<Vec<_>>()
+    };
+    let llm = || SyntheticLlm::new(ModelProfile::GptFourTurbo, 0);
+    // One candidate batch: five candidate proofs, then Houdini.
+    let batch = ["flow.validate", "prove", "prove", "prove", "prove", "prove", "flow.houdini"];
+    let around = |head: &[&'static str]| [head, &batch, &["prove"]].concat();
+
+    assert_eq!(skeleton(&|c| run_baseline(&design, c)), ["flow.baseline", "prove"]);
+    assert_eq!(skeleton(&|c| run_flow1(design.clone(), &mut llm(), c)), around(&["flow.flow1"]));
+    assert_eq!(
+        skeleton(&|c| run_flow2(design.clone(), &mut llm(), c)),
+        around(&["flow.flow2", "prove"])
+    );
+    assert_eq!(
+        skeleton(&|c| run_combined(design.clone(), &mut llm(), c)),
+        around(&["flow.combined"])
+    );
 }

@@ -256,3 +256,22 @@ fn full_opt_shrinks_datapath_cnf() {
         assert!(fc < bc, "{}: Full must drop template clauses ({bc} -> {fc})", bundle.name);
     }
 }
+
+/// Elaboration is deterministic: every design prepared twice in one
+/// process, at every optimization level, yields the same layout
+/// fingerprint, as `SessionSeed::fingerprint` documents for identical
+/// sources. Without the ordered branch maps in the elaborator, mux nodes
+/// were interned in hash order and unoptimized layouts differed.
+#[test]
+fn identical_sources_share_a_fingerprint() {
+    use genfv_mc::SessionSeed;
+    for bundle in full_corpus() {
+        for level in [OptLevel::None, OptLevel::Full, OptLevel::SatSweep] {
+            let fingerprint = || {
+                let d = bundle.prepare_with(&OptConfig::default().with_level(level)).unwrap();
+                SessionSeed::fingerprint(&d.ctx, &d.ts)
+            };
+            assert_eq!(fingerprint(), fingerprint(), "{} at {level:?}", bundle.name);
+        }
+    }
+}

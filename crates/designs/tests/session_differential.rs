@@ -190,8 +190,9 @@ fn validate_batch_outcomes_identical_across_engines() {
         for profile in ModelProfile::ALL {
             let candidates = corpus_candidates(&bundle, profile);
             let what = format!("{} under {profile:?}", bundle.name);
-            let (acc_i, out_i) = validate_batch(&design, &[], &candidates, &incremental_cfg, true);
-            let (acc_r, out_r) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
+            let (acc_i, out_i, _) =
+                validate_batch(&design, &[], &candidates, &incremental_cfg, true);
+            let (acc_r, out_r, _) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
             assert_eq!(acc_i, acc_r, "accepted sets diverged on {what}");
             assert_eq!(out_i, out_r, "validation outcomes diverged on {what}");
             candidates_checked += candidates.len();

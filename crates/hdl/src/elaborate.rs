@@ -9,7 +9,7 @@
 use crate::ast::*;
 use crate::lexer::Pos;
 use genfv_ir::{BitVecValue, Context, ExprRef, TransitionSystem};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -153,8 +153,11 @@ impl<'a> Elaborator<'a> {
         let mut assigned_in: HashMap<String, usize> = HashMap::new();
         for (idx, item) in self.module.items.iter().enumerate() {
             if let Item::AlwaysFf { body, pos, .. } = item {
-                // Every register starts at "hold current value".
-                let mut envmap: HashMap<String, ExprRef> = HashMap::new();
+                // Every register starts at "hold current value". Ordered
+                // maps here and in `exec_comb`: branch merges intern their
+                // muxes in name order, so identical sources elaborate to
+                // identical arenas.
+                let mut envmap: BTreeMap<String, ExprRef> = BTreeMap::new();
                 for r in &regs {
                     envmap.insert(r.clone(), self.resolve(r)?);
                 }
@@ -417,7 +420,7 @@ impl<'a> Elaborator<'a> {
     fn exec_clocked(
         &mut self,
         stmt: &Stmt,
-        envmap: &mut HashMap<String, ExprRef>,
+        envmap: &mut BTreeMap<String, ExprRef>,
         pos: Pos,
     ) -> Result<Vec<String>, ElabError> {
         let mut touched = Vec::new();
@@ -433,7 +436,7 @@ impl<'a> Elaborator<'a> {
     fn exec_clocked_inner(
         &mut self,
         stmt: &Stmt,
-        envmap: &mut HashMap<String, ExprRef>,
+        envmap: &mut BTreeMap<String, ExprRef>,
         touched: &mut Vec<String>,
         pos: Pos,
     ) -> Result<(), ElabError> {
@@ -523,7 +526,7 @@ impl<'a> Elaborator<'a> {
     /// previous writes from the same block. Every target must be assigned
     /// on every path (no latches).
     fn exec_comb(&mut self, stmt: &Stmt, pos: Pos) -> Result<Vec<(String, ExprRef)>, ElabError> {
-        let mut env: HashMap<String, Option<ExprRef>> = HashMap::new();
+        let mut env: BTreeMap<String, Option<ExprRef>> = BTreeMap::new();
         let mut targets = Vec::new();
         collect_blocking_targets(stmt, &mut targets);
         targets.sort();
@@ -552,7 +555,7 @@ impl<'a> Elaborator<'a> {
     fn exec_comb_inner(
         &mut self,
         stmt: &Stmt,
-        env: &mut HashMap<String, Option<ExprRef>>,
+        env: &mut BTreeMap<String, Option<ExprRef>>,
         pos: Pos,
     ) -> Result<(), ElabError> {
         match stmt {
@@ -631,7 +634,7 @@ impl<'a> Elaborator<'a> {
         &mut self,
         e: &Expr,
         expected: Option<u32>,
-        overlay: &HashMap<String, Option<ExprRef>>,
+        overlay: &BTreeMap<String, Option<ExprRef>>,
     ) -> Result<ExprRef, ElabError> {
         // Install overlay bindings into `resolved`, elaborate, then restore.
         let mut saved: Vec<(String, Option<ExprRef>)> = Vec::new();
@@ -657,7 +660,7 @@ impl<'a> Elaborator<'a> {
     fn elab_bool_with_overlay(
         &mut self,
         e: &Expr,
-        overlay: &HashMap<String, Option<ExprRef>>,
+        overlay: &BTreeMap<String, Option<ExprRef>>,
     ) -> Result<ExprRef, ElabError> {
         let x = self.elab_expr_with_overlay(e, None, overlay)?;
         Ok(self.to_bool(x))

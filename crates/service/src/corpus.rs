@@ -1,37 +1,36 @@
 //! Synchronous corpus runner: a thin wrapper over the service.
 //!
-//! Earlier revisions kept a second, ad-hoc work-stealing thread pool in
-//! `genfv-core` for corpus runs. [`run_corpus`] now builds a
-//! [`VerificationService`] from the [`CorpusConfig`], submits one job per
-//! design, and waits for the reports in submission order — same
-//! signature-level contract (index-aligned results, scheduling-independent
-//! reports, no model construction in [`genfv_core::CorpusMode::Baseline`]), one
-//! scheduler.
+//! [`run_corpus`] builds a [`VerificationService`] from a
+//! [`ServiceConfig`], submits one job per design in the config's
+//! [`genfv_core::CorpusMode`], and waits for the reports in submission
+//! order: index-aligned results, scheduling-independent reports, no model
+//! construction in [`genfv_core::CorpusMode::Baseline`].
 //!
-//! Batching and the warm-session cache are left on: corpora with repeated
-//! designs get the same speedup service traffic does, and the
+//! Batching and the warm-session cache stay as configured: corpora with
+//! repeated designs get the same speedup service traffic does, and the
 //! `service_differential` suite pins that the verdicts are unchanged.
 
 use crate::request::{DesignInput, JobRequest};
 use crate::service::{ServiceConfig, VerificationService};
-use genfv_core::{CorpusConfig, FlowReport, PreparedDesign};
+use genfv_core::{FlowReport, PreparedDesign};
 use genfv_genai::LanguageModel;
 
-/// Runs one flow per prepared design over the service's worker pool.
+/// Runs `config.mode`'s flow once per prepared design over the service's
+/// worker pool.
 ///
 /// `make_llm` builds the language model for job `i`; it is called on the
 /// submitting thread (models need not be `Sync`, only `Send`), and not at
-/// all in [`genfv_core::CorpusMode::Baseline`]. Results are index-aligned with
-/// `designs` regardless of which worker ran what.
+/// all in [`genfv_core::CorpusMode::Baseline`]. Results are index-aligned
+/// with `designs` regardless of which worker ran what.
 ///
 /// # Panics
 /// Panics if a job fails outright (the corpus designs are expected to
-/// prepare; submission cannot be rejected because the queue is sized to
-/// the corpus).
+/// prepare; submission cannot be rejected because the queue capacity is
+/// raised to the corpus size).
 pub fn run_corpus<L, F>(
     designs: &[PreparedDesign],
     make_llm: F,
-    config: &CorpusConfig,
+    config: &ServiceConfig,
 ) -> Vec<FlowReport>
 where
     L: LanguageModel + Send + 'static,
@@ -40,13 +39,8 @@ where
     if designs.is_empty() {
         return Vec::new();
     }
-    let service = VerificationService::new(
-        ServiceConfig::default()
-            .with_workers(config.workers)
-            .with_queue_capacity(designs.len())
-            .with_mode(config.mode)
-            .with_flow(config.flow.clone()),
-    );
+    let capacity = config.queue_capacity.max(designs.len());
+    let service = VerificationService::new(config.clone().with_queue_capacity(capacity));
     let handles: Vec<_> = designs
         .iter()
         .enumerate()

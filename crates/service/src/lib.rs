@@ -45,8 +45,7 @@
 //! [`genfv_core::Error`] values, never panics in the caller.
 //!
 //! [`run_corpus`] is the synchronous convenience wrapper: one job per
-//! design, reports in submission order — the API the `genfv-core` corpus
-//! scheduler used to provide, now backed by the same service machinery.
+//! design under a [`ServiceConfig`], reports in submission order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,5 +60,5 @@ pub use corpus::run_corpus;
 pub use request::{DesignInput, JobEvent, JobId, JobReport, JobRequest};
 pub use service::{JobHandle, ServiceConfig, ServiceStats, SubmitRejected, VerificationService};
 
-pub use genfv_core::{CorpusConfig, CorpusMode};
+pub use genfv_core::CorpusMode;
 pub use genfv_obs::{Accumulate, Obs, ObsConfig, ObsReport};

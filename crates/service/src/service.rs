@@ -7,7 +7,7 @@ use genfv_core::{
     run_baseline, run_combined, run_flow1, run_flow2, CorpusMode, Error, FlowConfig, OptConfig,
     PreparedDesign, ServiceError,
 };
-use genfv_mc::{CheckConfig, EngineMode, PortfolioConfig, SessionSeed, UnrollMode};
+use genfv_mc::SessionSeed;
 use genfv_obs::{
     prom_counter, prom_gauge, prom_histogram, Accumulate, AtomicHistogram, HistogramSnapshot,
     MetricsSnapshot, Obs, ObsConfig,
@@ -22,10 +22,9 @@ use std::time::Instant;
 /// Service configuration.
 ///
 /// Follows the workspace builder convention: [`Default`] then `with_*`.
-/// The flow-level `with_*` helpers ([`ServiceConfig::with_check`],
-/// [`ServiceConfig::with_portfolio`], [`ServiceConfig::with_engine`],
-/// [`ServiceConfig::with_unroll_mode`]) delegate to the embedded
-/// [`FlowConfig`], so one builder chain configures the whole stack.
+/// Flow-level settings (checks, portfolio, engine, unroll mode, netlist
+/// optimization) are configured on a [`FlowConfig`] and handed over with
+/// [`ServiceConfig::with_flow`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads (0 = one per available core).
@@ -108,37 +107,6 @@ impl ServiceConfig {
     /// This configuration with `flow` as every job's flow configuration.
     pub fn with_flow(mut self, flow: FlowConfig) -> Self {
         self.flow = flow;
-        self
-    }
-
-    /// This configuration with `check` as the target-proof settings.
-    pub fn with_check(mut self, check: CheckConfig) -> Self {
-        self.flow = self.flow.with_check(check);
-        self
-    }
-
-    /// This configuration racing every session query over `portfolio`.
-    pub fn with_portfolio(mut self, portfolio: PortfolioConfig) -> Self {
-        self.flow = self.flow.with_portfolio(portfolio);
-        self
-    }
-
-    /// This configuration answering queries with `engine`.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.flow = self.flow.with_engine(engine);
-        self
-    }
-
-    /// This configuration encoding session frames in `mode`.
-    pub fn with_unroll_mode(mut self, mode: UnrollMode) -> Self {
-        self.flow = self.flow.with_unroll_mode(mode);
-        self
-    }
-
-    /// This configuration preparing [`DesignInput::Source`] jobs with
-    /// `opt` (also folded into the warm-capital cache key).
-    pub fn with_opt(mut self, opt: OptConfig) -> Self {
-        self.flow = self.flow.with_opt(opt);
         self
     }
 
@@ -756,6 +724,15 @@ endmodule
 
     fn baseline(input: DesignInput) -> JobRequest {
         JobRequest::new(input).with_mode(CorpusMode::Baseline)
+    }
+
+    #[test]
+    fn builders_chain() {
+        let c = ServiceConfig::default().with_workers(3).with_mode(CorpusMode::Baseline);
+        assert_eq!(c.workers, 3);
+        assert_eq!(c.mode, CorpusMode::Baseline);
+        assert!(!c.mode.needs_model());
+        assert!(CorpusMode::Flow2.needs_model());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! directly — and pins verdict classes and accepted-lemma texts, covering
 //! the batched, cache-hit, and cache-evicted service paths.
 
-use genfv_core::{run_flow2, CorpusConfig, CorpusMode, FlowReport, TargetOutcome};
+use genfv_core::{run_flow2, CorpusMode, FlowConfig, FlowReport, TargetOutcome};
 use genfv_designs::all_designs;
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_service::{run_corpus, DesignInput, JobRequest, ServiceConfig, VerificationService};
@@ -37,7 +37,7 @@ fn assert_same_report(service: &FlowReport, sequential: &FlowReport) {
 fn corpus_matches_sequential() {
     let designs: Vec<_> = all_designs().iter().map(|d| d.prepare().unwrap()).collect();
     let make_llm = |i: usize| SyntheticLlm::new(ModelProfile::GptFourTurbo, 42 + i as u64);
-    let config = CorpusConfig::default().with_workers(3);
+    let config = ServiceConfig::default().with_workers(3);
     let serviced = run_corpus(&designs, make_llm, &config);
     let sequential: Vec<_> = designs
         .iter()
@@ -81,8 +81,7 @@ fn repeat_traffic_with_cache_and_batching_matches_cold() {
 
     let make_llm = |i: usize| SyntheticLlm::new(ModelProfile::GptFourTurbo, 42 + i as u64);
     for (i, bundle) in bundles.iter().enumerate() {
-        let cold =
-            run_flow2(bundle.prepare().unwrap(), &mut make_llm(i), &CorpusConfig::default().flow);
+        let cold = run_flow2(bundle.prepare().unwrap(), &mut make_llm(i), &FlowConfig::default());
         // Both rounds used the same per-index seed, so both service
         // reports for this design must match the cold run.
         assert_same_report(&reports[i].flow, &cold);
@@ -121,8 +120,7 @@ fn cache_evicted_path_matches_sequential() {
     assert!(stats.cache_evictions > 0, "single-entry cache must evict ({stats:?})");
 
     for (i, bundle) in bundles.iter().enumerate() {
-        let cold =
-            genfv_core::run_baseline(&bundle.prepare().unwrap(), &CorpusConfig::default().flow);
+        let cold = genfv_core::run_baseline(&bundle.prepare().unwrap(), &FlowConfig::default());
         assert_same_report(&reports[i].flow, &cold);
         assert_same_report(&reports[bundles.len() + i].flow, &cold);
     }
@@ -133,7 +131,7 @@ fn cache_evicted_path_matches_sequential() {
 #[test]
 fn baseline_mode_needs_no_llm() {
     let designs: Vec<_> = all_designs().iter().take(3).map(|d| d.prepare().unwrap()).collect();
-    let config = CorpusConfig::default().with_workers(2).with_mode(CorpusMode::Baseline);
+    let config = ServiceConfig::default().with_workers(2).with_mode(CorpusMode::Baseline);
     let reports = run_corpus(
         &designs,
         |_: usize| -> SyntheticLlm { panic!("baseline must not build an LLM") },
@@ -146,7 +144,7 @@ fn baseline_mode_needs_no_llm() {
 /// Ported from the old `genfv-core` shard scheduler.
 #[test]
 fn empty_corpus_is_fine() {
-    let config = CorpusConfig::default();
+    let config = ServiceConfig::default();
     let out = run_corpus(&[], |i| SyntheticLlm::new(ModelProfile::GptFourTurbo, i as u64), &config);
     assert!(out.is_empty());
 }

@@ -86,7 +86,7 @@ pub use genfv_sva as sva;
 /// assert!(report.all_proven());
 ///
 /// // ...the corpus runner...
-/// let config = CorpusConfig::default().with_workers(1).with_mode(CorpusMode::Baseline);
+/// let config = ServiceConfig::default().with_workers(1).with_mode(CorpusMode::Baseline);
 /// let reports = run_corpus(
 ///     &[design.clone()],
 ///     |i| SyntheticLlm::new(ModelProfile::GptFourTurbo, i as u64),
@@ -95,9 +95,7 @@ pub use genfv_sva as sva;
 /// assert!(reports[0].all_proven());
 ///
 /// // ...and the service front end, with typed errors throughout.
-/// let service = VerificationService::new(
-///     ServiceConfig::default().with_workers(1).with_engine(EngineMode::Incremental),
-/// );
+/// let service = VerificationService::new(ServiceConfig::default().with_workers(1));
 /// let handle = service
 ///     .submit(JobRequest::new(DesignInput::Prepared(Box::new(design))).with_mode(CorpusMode::Baseline))
 ///     .map_err(|r| r.error)?;
@@ -109,8 +107,8 @@ pub use genfv_sva as sva;
 /// ```
 pub mod prelude {
     pub use genfv_core::{
-        run_baseline, run_flow1, run_flow2, CorpusConfig, CorpusMode, Error, FlowConfig,
-        FlowReport, PreparedDesign, ServiceError, TargetOutcome,
+        run_baseline, run_flow1, run_flow2, CorpusMode, Error, FlowConfig, FlowReport,
+        PreparedDesign, ServiceError, TargetOutcome,
     };
     pub use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
     pub use genfv_ir::{BitVecValue, Context, Simulator, TransitionSystem};
