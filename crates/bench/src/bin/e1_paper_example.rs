@@ -5,7 +5,7 @@
 //! all-ones while `count2` has a zero bit (the paper highlights bit 31),
 //! and the LLM-generated helper `count1 == count2` closes the proof.
 
-use genfv_bench::{experiment_config, ms, outcome_cell};
+use genfv_bench::{experiment_config, ms, outcome_cell, plain_prepare};
 use genfv_core::{run_baseline, run_flow2, TargetOutcome};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{bmc, render_final_bits, render_waveform, BmcResult, Property};
@@ -17,7 +17,7 @@ fn main() {
     println!("E1: paper worked example — sync_counters, `&count1 |-> &count2`\n");
 
     // BMC is clean (the property is true): paper Section II-A context.
-    let design = bundle.prepare().expect("prepare");
+    let design = plain_prepare(&bundle);
     let target = &design.targets[0];
     let prop = Property::new(target.name.clone(), target.prop.ok);
     match bmc(&design.ctx, &design.ts, &prop, &[], 16, &config.check) {
@@ -52,7 +52,7 @@ fn main() {
 
     // Flow 2 closes it with the Listing-3 helper.
     let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 42);
-    let report = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &config);
+    let report = run_flow2(plain_prepare(&bundle), &mut llm, &config);
     println!("\nFlow 2 with {}:", report.model);
     println!("{}", genfv_core::render_events(&report));
     for lemma in &report.lemmas {

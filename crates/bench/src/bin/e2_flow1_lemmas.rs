@@ -5,7 +5,7 @@
 //! and with Flow-1 lemmas, plus what the LLM emitted and how much of it
 //! survived validation.
 
-use genfv_bench::{experiment_config, ms, outcome_cell, total_rejected};
+use genfv_bench::{experiment_config, ms, outcome_cell, plain_prepare, total_rejected};
 use genfv_core::{run_baseline, run_flow1, Table};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
@@ -25,9 +25,9 @@ fn main() {
         if bundle.name == "desync_counters" {
             continue; // the bug design is covered by E3/E4
         }
-        let baseline = run_baseline(&bundle.prepare().expect("prepare"), &config);
+        let baseline = run_baseline(&plain_prepare(&bundle), &config);
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 1001);
-        let flow1 = run_flow1(bundle.prepare().expect("prepare"), &mut llm, &config);
+        let flow1 = run_flow1(plain_prepare(&bundle), &mut llm, &config);
         for (b, f) in baseline.targets.iter().zip(&flow1.targets) {
             table.row([
                 bundle.name.to_string(),

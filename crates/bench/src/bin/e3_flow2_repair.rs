@@ -6,7 +6,7 @@
 //! design, which must short-circuit to a real counterexample without ever
 //! consulting the model.
 
-use genfv_bench::{experiment_config, ms, outcome_cell, total_rejected};
+use genfv_bench::{experiment_config, ms, outcome_cell, plain_prepare, total_rejected};
 use genfv_core::{run_flow2, Table};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
@@ -27,7 +27,7 @@ fn main() {
 
     for bundle in genfv_designs::all_designs() {
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 2002);
-        let report = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &config);
+        let report = run_flow2(plain_prepare(&bundle), &mut llm, &config);
         for t in &report.targets {
             table.row([
                 bundle.name.to_string(),

@@ -7,7 +7,7 @@
 //! parse-level validity of emitted assertions, lemma acceptance rate, and
 //! hallucination (disproven/phantom) rate.
 
-use genfv_bench::experiment_config;
+use genfv_bench::{experiment_config, plain_prepare};
 use genfv_core::{run_flow2, Table};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
@@ -48,7 +48,7 @@ fn main() {
         for bundle in &corpus {
             for seed in SEEDS {
                 let mut llm = SyntheticLlm::new(profile, seed);
-                let report = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &config);
+                let report = run_flow2(plain_prepare(bundle), &mut llm, &config);
                 targets_total += report.targets.len();
                 targets_closed += report.targets.iter().filter(|t| t.outcome.is_proven()).count();
                 parsed += report.metrics.candidates_parsed;

@@ -7,7 +7,7 @@
 //! (c) hallucination-rate sweep — how much junk the validation layer
 //!     absorbs before throughput degrades (soundness never does).
 
-use genfv_bench::{experiment_config, total_rejected};
+use genfv_bench::{experiment_config, plain_prepare, total_rejected};
 use genfv_core::{run_flow1, run_flow2, FlowConfig, Table};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
@@ -24,7 +24,7 @@ fn ablation_houdini() {
         for use_houdini in [true, false] {
             let config = FlowConfig { use_houdini, ..experiment_config() };
             let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 6006);
-            let report = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &config);
+            let report = run_flow2(plain_prepare(&bundle), &mut llm, &config);
             table.row([
                 bundle.name.to_string(),
                 if use_houdini { "on" } else { "off" }.to_string(),
@@ -46,9 +46,9 @@ fn ablation_cex_in_prompt() {
     for bundle in genfv_designs::lemma_hungry_designs() {
         let config = experiment_config();
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 7007);
-        let f1 = run_flow1(bundle.prepare().expect("prepare"), &mut llm, &config);
+        let f1 = run_flow1(plain_prepare(&bundle), &mut llm, &config);
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 7007);
-        let f2 = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &config);
+        let f2 = run_flow2(plain_prepare(&bundle), &mut llm, &config);
         for (label, r) in [("flow1 (spec+RTL)", &f1), ("flow2 (RTL+CEX)", &f2)] {
             table.row([
                 bundle.name.to_string(),
@@ -89,8 +89,7 @@ fn ablation_hallucination_sweep() {
         for bundle in &corpus {
             let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 8008)
                 .with_error_rates(rate, rate / 4.0);
-            let report =
-                run_flow2(bundle.prepare().expect("prepare"), &mut llm, &experiment_config());
+            let report = run_flow2(plain_prepare(bundle), &mut llm, &experiment_config());
             total += report.targets.len();
             closed += report.targets.iter().filter(|t| t.outcome.is_proven()).count();
             lemmas += report.metrics.lemmas_accepted;

@@ -6,7 +6,7 @@
 //! invariant (the helper) turns a deep — or impossible — induction into a
 //! k=1 proof.
 
-use genfv_bench::{experiment_config, ms};
+use genfv_bench::{experiment_config, ms, plain_prepare};
 use genfv_core::{run_flow2, Table};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_ir::ExprRef;
@@ -51,10 +51,10 @@ fn main() {
         }
         // Generate lemmas once per design via Flow 2.
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 9009);
-        let flow2 = run_flow2(bundle.prepare().expect("prepare"), &mut llm, &experiment_config());
+        let flow2 = run_flow2(plain_prepare(&bundle), &mut llm, &experiment_config());
 
         // Re-install the lemma texts on a fresh design.
-        let mut design = bundle.prepare().expect("prepare");
+        let mut design = plain_prepare(&bundle);
         let lemma_exprs: Vec<ExprRef> = flow2
             .lemmas
             .iter()

@@ -17,6 +17,12 @@
 //! | `e7_k_sweep` | E7 | Section II-A: lemmas lower the induction depth |
 //! | `e14_obs` | E14 | observability overhead gate (Off vs Full tracing) |
 //!
+//! E1–E7 prepare every design through [`plain_prepare`], at
+//! `OptLevel::None`: the paper's baseline is plain k-induction, and the
+//! default prepare's register correspondence would already close the
+//! lockstep designs the paper repairs with the LLM. E4 prints the default
+//! pipeline's verdict in a column of its own.
+//!
 //! The `trace` binary is not an experiment: it runs one design/flow with
 //! full tracing and writes a Perfetto-loadable `trace.json` plus a
 //! human-readable span tree (see `scripts/trace.sh`).
@@ -31,9 +37,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use genfv_core::{FlowConfig, FlowReport, TargetOutcome};
+use genfv_core::{FlowConfig, FlowReport, OptConfig, OptLevel, PreparedDesign, TargetOutcome};
+use genfv_designs::DesignBundle;
 use genfv_mc::CheckConfig;
 use std::time::Duration;
+
+/// Prepares `bundle` for the paper's plain k-induction: the system
+/// exactly as elaborated (`OptLevel::None`).
+pub fn plain_prepare(bundle: &DesignBundle) -> PreparedDesign {
+    bundle.prepare_with(&OptConfig::default().with_level(OptLevel::None)).expect("prepare")
+}
 
 /// The flow configuration shared by all experiments: small max-k so that
 /// "needs lemmas" designs genuinely fail unaided, matching how a formal

@@ -3,8 +3,10 @@
 //!
 //! Preparation runs the `genfv_ir::opt` netlist optimization pipeline after
 //! target compilation (so property monitors are optimized alongside the
-//! design), configurable per prepare via [`OptConfig`] with
-//! [`OptLevel::None`](genfv_ir::OptLevel::None) as the escape hatch.
+//! design), configurable per prepare via [`OptConfig`]. The default
+//! pipeline includes register correspondence, which merges lockstep
+//! registers; [`OptLevel::None`](genfv_ir::OptLevel::None) skips every
+//! stage and prepares the paper's plain k-induction setting.
 
 use crate::error::Error;
 use genfv_ir::{optimize, Context, ExprRef, OptConfig, OptStats, TransitionSystem};
@@ -46,7 +48,8 @@ pub struct PreparedDesign {
 
 impl PreparedDesign {
     /// Parses, elaborates, compiles, and optimizes at the default
-    /// [`OptConfig`] (the full pipeline).
+    /// [`OptConfig`] (the full pipeline, register correspondence
+    /// included).
     ///
     /// `targets` are `(name, sva_source)` pairs.
     ///
@@ -65,7 +68,8 @@ impl PreparedDesign {
 
     /// Like [`PreparedDesign::new`] but with an explicit optimization
     /// configuration (`OptLevel::None` prepares the system exactly as
-    /// elaborated — the differential baseline).
+    /// elaborated — the paper's plain k-induction and the differential
+    /// baseline).
     ///
     /// # Errors
     /// Same as [`PreparedDesign::new`].

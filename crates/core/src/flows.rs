@@ -239,8 +239,8 @@ impl FlowConfig {
     }
 
     /// This configuration preparing source designs with the given netlist
-    /// optimization settings (`OptLevel::None` is the escape hatch /
-    /// differential baseline).
+    /// optimization settings (`OptLevel::None` is the paper's plain
+    /// k-induction and the differential baseline).
     pub fn with_opt(mut self, opt: OptConfig) -> Self {
         self.opt = opt;
         self

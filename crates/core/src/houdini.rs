@@ -504,6 +504,9 @@ mod tests {
 
     /// Two counters where neither bound is inductive alone but the pair is:
     /// a and b increment in lockstep mod 4 using each other's values.
+    /// Prepared for plain induction (`OptLevel::None`): at the default,
+    /// register correspondence merges `a` and `b`, and every bound here
+    /// proves alone.
     fn mutually_inductive_design() -> PreparedDesign {
         let rtl = r#"
 module pair (input clk, rst, output logic [3:0] a, b);
@@ -513,7 +516,8 @@ module pair (input clk, rst, output logic [3:0] a, b);
   end
 endmodule
 "#;
-        PreparedDesign::new("pair", rtl, "mutual counters", &[]).unwrap()
+        let plain = crate::OptConfig::default().with_level(crate::OptLevel::None);
+        PreparedDesign::with_opt("pair", rtl, "mutual counters", &[], &plain).unwrap()
     }
 
     const SYNC: &str = r#"

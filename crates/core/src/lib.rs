@@ -11,7 +11,12 @@
 //!   loop.
 //! * [`run_combined`] — both, the way the paper uses them: Flow 1's
 //!   upfront lemmas, then Flow 2's repair loop for what still fails.
-//! * [`run_baseline`] — plain k-induction, for with/without comparisons.
+//! * [`run_baseline`] — k-induction with no LLM, for with/without
+//!   comparisons. On a design prepared at [`OptLevel::None`] it is the
+//!   paper's plain k-induction. The default prepare ([`OptLevel::Full`])
+//!   first merges lockstep registers by register correspondence, which
+//!   already proves the paper's Listing-1 counters at k=1, so Flow 2
+//!   asks the LLM only where that structural invariant is not enough.
 //!
 //! Each flow is a short composition of private stages on one run state
 //! (see the [`flows`] module docs for which flow calls which stage).

@@ -240,8 +240,12 @@ module sync_counters (input clk, rst, output logic [7:0] count1, count2);
 endmodule
 "#;
 
+    /// The lockstep counters prepared for plain induction
+    /// (`OptLevel::None`): at the default, register correspondence merges
+    /// them and no candidate here is left non-inductive.
     fn design() -> PreparedDesign {
-        PreparedDesign::new("sync_counters", SYNC, "lockstep counters", &[]).unwrap()
+        let plain = crate::OptConfig::default().with_level(crate::OptLevel::None);
+        PreparedDesign::with_opt("sync_counters", SYNC, "lockstep counters", &[], &plain).unwrap()
     }
 
     fn candidate(text: &str) -> Candidate {

@@ -2,7 +2,10 @@
 //! loop: prompt rendering, completion parsing, candidate validation, lemma
 //! installation, and target proofs.
 
-use genfv_core::{run_baseline, run_flow1, run_flow2, FlowConfig, PreparedDesign, TargetOutcome};
+use genfv_core::{
+    run_baseline, run_flow1, run_flow2, FlowConfig, OptConfig, OptLevel, PreparedDesign,
+    TargetOutcome,
+};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
 const SYNC_COUNTERS: &str = r#"
@@ -23,18 +26,26 @@ const SPEC: &str = "Two synchronized counters increment in lockstep from reset; 
 their values are always equal, so whenever count1 is all ones count2 must be too.";
 
 fn paper_design() -> PreparedDesign {
-    PreparedDesign::new(
+    paper_design_at(OptLevel::Full)
+}
+
+/// The paper's plain k-induction runs at `OptLevel::None`: the default
+/// prepare merges the lockstep counters by register correspondence, and
+/// the target proves at k=1 with no lemma.
+fn paper_design_at(level: OptLevel) -> PreparedDesign {
+    PreparedDesign::with_opt(
         "sync_counters",
         SYNC_COUNTERS,
         SPEC,
         &[("equal_count".to_string(), "&count1 |-> &count2".to_string())],
+        &OptConfig::default().with_level(level),
     )
     .unwrap()
 }
 
 #[test]
 fn baseline_cannot_prove_the_paper_property() {
-    let report = run_baseline(&paper_design(), &FlowConfig::default());
+    let report = run_baseline(&paper_design_at(OptLevel::None), &FlowConfig::default());
     assert!(!report.all_proven());
     match &report.targets[0].outcome {
         TargetOutcome::StillUnproven { k, trace } => {
@@ -50,7 +61,7 @@ fn baseline_cannot_prove_the_paper_property() {
 #[test]
 fn flow2_repairs_the_paper_property_with_gpt_profile() {
     let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 42);
-    let report = run_flow2(paper_design(), &mut llm, &FlowConfig::default());
+    let report = run_flow2(paper_design_at(OptLevel::None), &mut llm, &FlowConfig::default());
     assert!(report.all_proven(), "events:\n{}", genfv_core::render_events(&report));
     // The lockstep lemma must be among the accepted ones.
     assert!(

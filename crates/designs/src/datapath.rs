@@ -15,10 +15,12 @@ use crate::{DesignBundle, Expectation};
 /// circuits — hash-consing alone cannot unify them — so at
 /// `OptLevel::None` the proof genuinely compares two multipliers. The
 /// `genfv_ir::opt` factoring rewrite (`a*b + b → (a+1)*b`) collapses the
-/// two next-state cones into one shared multiplier, which is exactly the
-/// CNF reduction `opt_differential::full_opt_shrinks_datapath_cnf` pins.
-/// The property is a pure register comparison, so both registers stay in
-/// the cone of influence.
+/// two next-state cones into one shared multiplier; the registers then
+/// step in lockstep structurally, so the register-correspondence stage
+/// merges them and the property folds to true. That is the CNF reduction
+/// `opt_differential::full_opt_shrinks_datapath_cnf` pins. The property is
+/// a pure register comparison, so at `OptLevel::None` both registers stay
+/// in the cone of influence.
 pub fn mul_incr() -> DesignBundle {
     DesignBundle {
         name: "mul_incr",
@@ -80,7 +82,13 @@ mod tests {
     fn datapath_bundles_prepare() {
         for bundle in [mul_incr(), mul_distrib()] {
             let design = bundle.prepare().expect("datapath designs prepare");
-            assert_eq!(design.ts.states().len(), 2, "{}: two product registers", bundle.name);
+            assert_eq!(
+                design.ts.states().len(),
+                1,
+                "{}: the two product registers merge into one",
+                bundle.name
+            );
+            assert_eq!(design.opt_stats.nodes_merged, 1, "{}", bundle.name);
             assert!(!design.targets.is_empty());
         }
     }
@@ -98,12 +106,18 @@ mod tests {
                 "{}: unoptimized sides stay structurally distinct",
                 bundle.name
             );
+            // The product registers latch input-only functions, so the
+            // register stage can merge them without a miter only if the
+            // rewrite stage made both next functions one multiplier cone.
             let opt = bundle.prepare().expect("optimized prepare");
-            let states = opt.ts.states();
-            assert_eq!(states.len(), 2, "{}: registers are never merged", bundle.name);
+            let stats = &opt.opt_stats;
+            assert!(stats.rewrites >= 1, "{}: factoring fires", bundle.name);
+            assert_eq!(opt.ts.states().len(), 1, "{}: registers merge", bundle.name);
             assert_eq!(
-                states[0].next, states[1].next,
-                "{}: factoring hash-conses both sides into one multiplier",
+                (stats.pairs_proved, stats.nodes_merged, stats.sweep_conflicts),
+                (1, 1, 0),
+                "{}: factoring hash-conses both sides into one multiplier, so the merge \
+                 is structural",
                 bundle.name
             );
         }

@@ -39,7 +39,10 @@ pub mod fifo;
 pub mod shift;
 
 /// How a design is expected to behave under plain k-induction (small k,
-/// no lemmas) — drives the experiment harness and the corpus self-tests.
+/// no lemmas, prepared at `OptLevel::None`) — drives the experiment
+/// harness and the corpus self-tests. The default prepare's register
+/// correspondence proves three `NeedsLemmas` designs unaided
+/// (`sync_counters`, `sync_counters_16`, `twin_shift`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Expectation {
     /// Every target proves with plain k-induction at small k.
@@ -77,8 +80,8 @@ impl DesignBundle {
     }
 
     /// Like [`DesignBundle::prepare`] but with an explicit optimization
-    /// configuration — `OptLevel::None` is the differential baseline the
-    /// opt suites compare against.
+    /// configuration — `OptLevel::None` is the paper's plain k-induction,
+    /// which the experiments and the opt suites compare against.
     ///
     /// # Errors
     /// Same as [`DesignBundle::prepare`].

@@ -3,11 +3,21 @@
 //! declared [`Expectation`] says. The lemma-hungry designs must then be
 //! repairable by Flow 2 with the strongest model profile — this is the
 //! repo's executable statement of the paper's Section-V claim.
+//!
+//! Plain k-induction is the paper's baseline, `OptLevel::None`. The
+//! default prepare adds register correspondence, which already closes
+//! the lockstep designs; `default_prepare_closes_exactly_the_lockstep_designs`
+//! pins which ones, so the LLM's share is measured beyond it.
 
-use genfv_core::{run_baseline, run_flow2, FlowConfig, TargetOutcome};
-use genfv_designs::{all_designs, by_name, lemma_hungry_designs, Expectation};
+use genfv_core::{run_baseline, run_flow2, FlowConfig, OptConfig, OptLevel, TargetOutcome};
+use genfv_designs::{all_designs, by_name, lemma_hungry_designs, DesignBundle, Expectation};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::CheckConfig;
+
+/// The paper's plain k-induction: the design exactly as elaborated.
+fn plain(d: &DesignBundle) -> genfv_core::PreparedDesign {
+    d.prepare_with(&OptConfig::default().with_level(OptLevel::None)).unwrap()
+}
 
 fn flow_config() -> FlowConfig {
     FlowConfig {
@@ -63,7 +73,7 @@ fn datapath_expectations_hold() {
 #[test]
 fn expectations_hold_under_plain_induction() {
     for d in all_designs() {
-        let prepared = d.prepare().unwrap();
+        let prepared = plain(&d);
         let report = run_baseline(&prepared, &flow_config());
         match d.expectation {
             Expectation::ProvesUnaided => {
@@ -112,7 +122,7 @@ fn expectations_hold_under_plain_induction() {
 #[test]
 fn flow2_with_strong_model_repairs_every_lemma_hungry_design() {
     for d in lemma_hungry_designs() {
-        let prepared = d.prepare().unwrap();
+        let prepared = plain(&d);
         let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 0xFEED);
         let report = run_flow2(prepared, &mut llm, &flow_config());
         assert!(
@@ -123,5 +133,41 @@ fn flow2_with_strong_model_repairs_every_lemma_hungry_design() {
             genfv_core::render_events(&report)
         );
         assert!(report.metrics.lemmas_accepted >= 1, "{}: no lemmas used?", d.name);
+    }
+}
+
+/// The default prepare runs register correspondence. Of the
+/// `NeedsLemmas` designs it closes exactly the three whose registers step
+/// in lockstep: they prove at k=1 unaided with one state left. The other
+/// five still fail the step and still need the LLM.
+#[test]
+fn default_prepare_closes_exactly_the_lockstep_designs() {
+    const LOCKSTEP: [&str; 3] = ["sync_counters", "sync_counters_16", "twin_shift"];
+    let needs_lemmas: Vec<DesignBundle> =
+        all_designs().into_iter().filter(|d| d.expectation == Expectation::NeedsLemmas).collect();
+    assert_eq!(needs_lemmas.len(), 8);
+    for d in needs_lemmas {
+        let prepared = d.prepare().unwrap();
+        let report = run_baseline(&prepared, &flow_config());
+        let summary = genfv_core::summarize_targets(&report);
+        if LOCKSTEP.contains(&d.name) {
+            assert_eq!(prepared.ts.states().len(), 1, "{}: registers merge", d.name);
+            for t in &report.targets {
+                assert!(
+                    matches!(t.outcome, TargetOutcome::Proven { k: 1, lemmas_used: 0 }),
+                    "{} should prove at k=1 unaided:\n{summary}",
+                    d.name
+                );
+            }
+        } else {
+            assert!(
+                report
+                    .targets
+                    .iter()
+                    .any(|t| matches!(t.outcome, TargetOutcome::StillUnproven { .. })),
+                "{} should still have a step failure:\n{summary}",
+                d.name
+            );
+        }
     }
 }

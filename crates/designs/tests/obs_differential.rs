@@ -16,7 +16,9 @@
 //!   `e14_obs` bench, where warmup and repetition make timing
 //!   meaningful.
 
-use genfv_core::{run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowReport};
+use genfv_core::{
+    run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowReport, OptConfig, OptLevel,
+};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{CheckConfig, UnrollMode};
 use genfv_obs::{Obs, ObsConfig, Phase, TraceEvent};
@@ -138,12 +140,15 @@ fn deterministic_events_use_the_logical_clock() {
 }
 
 /// Each flow's skeleton of `flow.*` and `prove` spans on the paper's
-/// example design. The ledger's `flow.self_ms_per_job` and
+/// example design under plain k-induction (`OptLevel::None`, where the
+/// target needs a lemma). The ledger's `flow.self_ms_per_job` and
 /// `prove.self_ms_per_job` rows read these spans, so they must stay where
 /// they are whatever the flows' internals look like.
 #[test]
 fn flow_span_skeletons_are_pinned() {
-    let design = genfv_designs::by_name("sync_counters").expect("in corpus").prepare().unwrap();
+    let plain = OptConfig::default().with_level(OptLevel::None);
+    let design =
+        genfv_designs::by_name("sync_counters").expect("in corpus").prepare_with(&plain).unwrap();
     let skeleton = |run: &dyn Fn(&FlowConfig) -> FlowReport| {
         let obs = Obs::new(ObsConfig::Deterministic);
         run(&FlowConfig::default().with_obs(obs.clone()));

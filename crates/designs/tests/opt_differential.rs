@@ -11,10 +11,11 @@
 //!   projects identically onto the surviving observables, so BMC
 //!   verdicts, falsification cycles, and proof classes must be *equal*;
 //! * **strengthening** (stuck-at register folding substitutes a proven
-//!   invariant `x == c`): unreachable induction-step counterexamples can
-//!   disappear, so an optimized proof may close at a *smaller* k — or
-//!   close where the baseline stalled — but never the reverse, and
-//!   never with a different counterexample cycle.
+//!   invariant `x == c`; register correspondence substitutes a proven
+//!   `r == s` for a lockstep pair): unreachable induction-step
+//!   counterexamples can disappear, so an optimized proof may close at a
+//!   *smaller* k — or close where the baseline stalled — but never the
+//!   reverse, and never with a different counterexample cycle.
 //!
 //! `assert_no_regression` encodes exactly that order: optimized verdicts
 //! must match the baseline or improve on it, and any real falsification
@@ -216,7 +217,9 @@ fn flow2_verdicts_never_regress() {
 /// not be adoptable by a session over the unoptimized one prepared from
 /// the very same sources (and vice versa) — the opt-level salt keeps the
 /// fingerprints apart even when hash-consing happens to give both
-/// layouts the same shape.
+/// layouts the same shape. On the datapath designs the layouts diverge
+/// anyway (a register is merged away), so the unsalted cross-`matches`
+/// must fail too: each seed here carries the salt it was built with.
 #[test]
 fn opt_level_salts_isolate_session_seeds() {
     use genfv_mc::SessionSeed;
@@ -237,7 +240,9 @@ fn opt_level_salts_isolate_session_seeds() {
 /// targets as extra roots, the cost every stamped frame pays) has fewer
 /// variables and fewer clauses at `OptLevel::Full` than at
 /// `OptLevel::None`. This is the "datapath CNF must shrink" gate of the
-/// retired `e12_opt` harness.
+/// retired `e12_opt` harness. Factoring makes the two product registers
+/// step in lockstep, and register correspondence merges them, one state
+/// fewer (`mul_incr` 648 → 279 clauses, `mul_distrib` 928 → 330).
 #[test]
 fn full_opt_shrinks_datapath_cnf() {
     use genfv_ir::Template;
@@ -250,7 +255,16 @@ fn full_opt_shrinks_datapath_cnf() {
         let full = bundle
             .prepare_with(&OptConfig::default().with_level(OptLevel::Full))
             .expect("full prepare");
-        let (bv, bc) = cnf(&baseline_prep(&bundle));
+        let base = baseline_prep(&bundle);
+        let stats = &full.opt_stats;
+        assert!(stats.nodes_merged > 0, "{}: register correspondence merges", bundle.name);
+        assert!(stats.pairs_proved > 0, "{}: merges come from proved pairs", bundle.name);
+        assert!(
+            full.ts.states().len() < base.ts.states().len(),
+            "{}: register correspondence collapses the shadow register",
+            bundle.name
+        );
+        let (bv, bc) = cnf(&base);
         let (fv, fc) = cnf(&full);
         assert!(fv < bv, "{}: Full must drop template variables ({bv} -> {fv})", bundle.name);
         assert!(fc < bc, "{}: Full must drop template clauses ({bc} -> {fc})", bundle.name);

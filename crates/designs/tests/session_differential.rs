@@ -16,14 +16,15 @@
 //! criterion for the incremental-session work.
 
 use genfv_core::{
-    run_flow1, run_flow2, validate_batch, Candidate, FlowConfig, TargetOutcome, ValidateConfig,
+    run_baseline, run_flow1, run_flow2, validate_batch, Candidate, FlowConfig, PreparedDesign,
+    TargetOutcome, ValidateConfig,
 };
 use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
 use genfv_mc::{
     bmc_rebuild, prove_all_rebuild, prove_rebuild, BmcResult, CheckConfig, EngineMode, KInduction,
     ProofSession, ProveResult,
 };
-use genfv_sva::parse_assertions;
+use genfv_sva::{parse_assertion, parse_assertions};
 
 mod common;
 
@@ -149,6 +150,11 @@ fn assert_outcome_eq(a: &TargetOutcome, b: &TargetOutcome, what: &str) {
     }
 }
 
+fn candidate(name: &str, text: &str) -> Candidate {
+    let assertion = parse_assertion(text).expect("candidate parses");
+    Candidate { name: name.to_string(), text: text.to_string(), assertion }
+}
+
 /// The deterministic Flow-1 candidate pool of a design under `profile`
 /// (the prompt depends only on spec + RTL + targets, so both engine modes
 /// see the byte-identical completion).
@@ -187,9 +193,20 @@ fn validate_batch_outcomes_identical_across_engines() {
     let mut rejected = 0;
     for bundle in genfv_designs::all_designs() {
         let design = bundle.prepare().expect("corpus designs prepare");
-        for profile in ModelProfile::ALL {
-            let candidates = corpus_candidates(&bundle, profile);
-            let what = format!("{} under {profile:?}", bundle.name);
+        let mut pools: Vec<(String, Vec<Candidate>)> = ModelProfile::ALL
+            .iter()
+            .map(|&profile| (format!("{profile:?}"), corpus_candidates(&bundle, profile)))
+            .collect();
+        if bundle.name == "sync_counters" {
+            // A false candidate twice in one batch: both copies compile to
+            // one `ok` expression, and the session must reject the second
+            // copy as it rejected the first (`count1` reaches 49 at cycle
+            // 49, beyond the BMC depth, so only induction can judge it).
+            let twice = candidate("le_48", "count1 <= 32'd48");
+            pools.push(("a repeated candidate".to_string(), vec![twice.clone(), twice]));
+        }
+        for (source, candidates) in pools {
+            let what = format!("{} under {source}", bundle.name);
             let (acc_i, out_i, _) =
                 validate_batch(&design, &[], &candidates, &incremental_cfg, true);
             let (acc_r, out_r, _) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
@@ -201,6 +218,33 @@ fn validate_batch_outcomes_identical_across_engines() {
     }
     assert!(candidates_checked >= 20, "the corpus should contribute real candidate pools");
     assert!(rejected > 0, "the batches should mix rejected and accepted candidates");
+}
+
+/// Two targets that compile to one `ok` expression share the session of
+/// `run_baseline`. The first proof attempt extends the property's step
+/// guard past k=1; the second attempt must not reuse that guard, or its
+/// k=1 step query assumes the very frame it asks about and proves a false
+/// property. `count1` reaches 49 at cycle 49, beyond `max_k`, so both
+/// targets end unproven in both engine modes.
+#[test]
+fn duplicate_targets_share_one_baseline_verdict() {
+    let bundle = genfv_designs::by_name("sync_counters").expect("corpus design");
+    let targets = [("le_48", "count1 <= 32'd48"), ("ge_48", "32'd48 >= count1")]
+        .map(|(name, sva)| (name.to_string(), sva.to_string()));
+    let design = PreparedDesign::new(bundle.name, bundle.rtl, bundle.spec, &targets)
+        .expect("sync_counters prepares");
+    let incremental = run_baseline(&design, &FlowConfig::default());
+    let rebuild =
+        run_baseline(&design, &FlowConfig::default().with_engine(EngineMode::RebuildPerQuery));
+    for (ti, tr) in incremental.targets.iter().zip(&rebuild.targets) {
+        assert!(
+            matches!(ti.outcome, TargetOutcome::StillUnproven { .. }),
+            "{}: {:?}",
+            ti.name,
+            ti.outcome
+        );
+        assert_outcome_eq(&ti.outcome, &tr.outcome, &ti.name);
+    }
 }
 
 /// Flow 1 end to end: its prompt carries no counterexample, so the two

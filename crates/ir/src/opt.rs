@@ -32,13 +32,20 @@
 //!    every property vacuously true — removing it would be unsound) and
 //!    signals anchor the cone so counterexample waveforms and Flow-2
 //!    prompts render identically before and after optimization.
-//! 5. **`satsweep`** ([`OptLevel::SatSweep`] only) — SAT-sweeping:
-//!    simulation signatures partition nodes into candidate equivalence
-//!    classes, budgeted SAT miters prove or refute each candidate pair,
-//!    and proved pairs are merged onto one representative (complemented
-//!    equivalence via a NOT wrapper); a separate register-correspondence
-//!    stage merges lockstep registers. See [`crate::satsweep`].
-//! 6. **`sweep`** — dead-node elimination: the reachable structure is
+//! 5. **`satsweep`** ([`OptLevel::SatSweep`] only) — combinational
+//!    SAT-sweeping: simulation signatures partition nodes into candidate
+//!    equivalence classes, budgeted SAT miters prove or refute each
+//!    candidate pair, and proved pairs are merged onto one representative
+//!    (complemented equivalence via a NOT wrapper). See
+//!    [`crate::satsweep`].
+//! 6. **`regcorr`** — register correspondence: two registers with equal
+//!    inits whose next functions coincide once one is substituted for the
+//!    other step in lockstep, and are merged into one. Cheapest check
+//!    first: width and init, then a structural comparison, and only for a
+//!    pair that is not structurally equal, simulation traces and a
+//!    budgeted miter ([`SatSweepPass::merge_registers`]). This is what
+//!    closes the paper's Listing-1 counters at k=1.
+//! 7. **`sweep`** — dead-node elimination: the reachable structure is
 //!    rebuilt into a fresh arena, compacting away elaboration garbage and
 //!    everything the other stages orphaned; constraints that folded to
 //!    constant true are removed (constant-false ones are kept — they
@@ -50,16 +57,18 @@
 //! `satsweep` ([`SatSweepPass`]) is *SAT-sweeping* in the
 //! synthesis-literature sense (fraiging): it proves functional
 //! equivalences with a solver and rewrites uses, which *creates* the
-//! garbage the arena sweep then collects. The two are deliberately
-//! adjacent in the pipeline: satsweep runs right before sweep so dead
-//! cones are reclaimed in the same round.
+//! garbage the arena sweep then collects. Both merging stages, `satsweep`
+//! and `regcorr`, run right before sweep so dead cones are reclaimed in
+//! the same round.
 //!
 //! All rewrites are verdict-preserving equivalences except `stuck` and
-//! the `satsweep` register stage, which install proven invariants
-//! (`state == c`, `r == s`) and can therefore only strengthen induction —
-//! the corpus-wide differential suites (`opt_differential.rs`,
-//! `satsweep_differential.rs`) check that in practice verdict classes
-//! never move. Callers opt out entirely with [`OptLevel::None`].
+//! `regcorr`, which install proven invariants (`state == c`, `r == s`)
+//! and can therefore only strengthen induction: a step counterexample in
+//! which two lockstep registers disagree is unreachable, and it is gone.
+//! `opt_differential.rs` checks over the corpus that a verdict only ever
+//! moves from unproven to proven, and `satsweep_differential.rs` that the
+//! combinational stage moves none. Callers opt out entirely with
+//! [`OptLevel::None`], the paper's plain k-induction.
 
 use crate::expr::{BinaryOp, Context, Expr, ExprRef, UnaryOp};
 use crate::satsweep::SatSweepPass;
@@ -70,16 +79,23 @@ use std::collections::{HashMap, HashSet};
 /// How aggressively to optimize a design during prepare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
-    /// Escape hatch: run no stages at all; the system is encoded exactly
-    /// as elaborated. The differential baseline.
+    /// Run no stages at all; the system is encoded exactly as elaborated.
+    /// This is the source paper's plain k-induction, where two lockstep
+    /// counters fail the induction step until a helper lemma says they
+    /// are equal, and the differential baseline.
     None,
-    /// The whole pipeline. The default.
+    /// Every stage but the combinational SAT-sweep: rewrite, stuck-at,
+    /// rebalance, cone of influence, register correspondence and the
+    /// arena sweep. The default. Register correspondence merges lockstep
+    /// registers, so the paper's Listing-1 counters prove at k=1 without
+    /// a lemma.
     #[default]
     Full,
-    /// Everything in `Full` plus SAT-sweeping (simulation-guided
-    /// equivalence merging with bounded solver calls) and register
-    /// correspondence. More prepare-time work for smaller per-frame CNF;
-    /// opt-in because the sweep spends real solver effort during prepare.
+    /// Everything in `Full` plus combinational SAT-sweeping
+    /// (simulation-guided equivalence merging with bounded solver calls).
+    /// More prepare-time work for smaller per-frame CNF on the ECC
+    /// designs; opt-in because the sweep spends real solver effort during
+    /// prepare.
     SatSweep,
 }
 
@@ -136,15 +152,16 @@ pub struct OptStats {
     pub coi_dropped_states: u64,
     /// Constraints that folded to constant true and were removed.
     pub constraints_dropped: u64,
-    /// SAT-sweep candidate pairs proved equivalent (UNSAT miters plus
-    /// structural register correspondences).
+    /// Candidate pairs proved equivalent by the `satsweep` and `regcorr`
+    /// stages (UNSAT miters plus structural register correspondences).
     pub pairs_proved: u64,
-    /// SAT-sweep candidate pairs refuted by a satisfiable miter.
+    /// Candidate pairs refuted by a satisfiable miter (a miter that
+    /// exhausts its conflict budget counts as neither).
     pub pairs_refuted: u64,
-    /// Nodes the SAT-sweep rewrote onto a class representative
-    /// (including merged registers).
+    /// Nodes rewritten onto a class representative, merged registers
+    /// included.
     pub nodes_merged: u64,
-    /// Solver conflicts spent inside SAT-sweep equivalence queries.
+    /// Solver conflicts spent inside `satsweep` and `regcorr` miters.
     pub sweep_conflicts: u64,
 }
 
@@ -161,8 +178,10 @@ impl OptStats {
     }
 
     /// One-line human summary, used in reports and service logs. The
-    /// SAT-sweep counters are appended only when the sweep actually ran,
-    /// keeping `None`/`Full` summaries byte-stable.
+    /// `satsweep …` counters (combinational sweep and register
+    /// correspondence together) are appended only when one of the two
+    /// stages proved, refuted or merged something, so a `Full` summary
+    /// carries them exactly on designs with lockstep registers.
     pub fn summary(&self) -> String {
         let mut line = format!(
             "opt[{:?}] rounds={} nodes {}→{} rewrites={} rebal={} stuck={} coi={}",
@@ -190,8 +209,9 @@ impl OptStats {
 /// rewritten in place so callers can re-anchor their properties afterwards.
 ///
 /// The whole pipeline runs under an `opt` span and each stage call
-/// records an `opt.<stage>` child, so a trace shows exactly where prepare
-/// time went. Rounds repeat until no stage but the arena sweep fires:
+/// records an `opt.<stage>` child (`opt.regcorr` included), so a trace
+/// shows exactly where prepare time went. Rounds repeat until no stage
+/// but the arena sweep fires:
 /// rewrite probes intern speculative nodes even on rounds where no rule
 /// lands, so the sweep (which runs last and leaves a compact arena)
 /// always has *something* to collect — a round where only the sweep
@@ -212,35 +232,38 @@ pub fn optimize(
     let _span = obs.span("opt");
     let constraints_before = ts.constraints().len();
     // One pass value for every round: it carries the CEX vectors learned
-    // from refuted miters into the next round.
-    let mut satsweep = (config.level == OptLevel::SatSweep).then(SatSweepPass::new);
+    // from refuted miters into the next round, and the counters of both
+    // of its stages.
+    let mut pass = SatSweepPass::new();
+    let combinational = config.level == OptLevel::SatSweep;
     for _ in 0..MAX_ROUNDS {
         let rewrites = stage(obs, "opt.rewrite", || rewrite(ctx, ts, roots));
         let stuck = stage(obs, "opt.stuck", || stuck_at(ctx, ts, roots));
         let rebalanced = stage(obs, "opt.rebalance", || rebalance(ctx, ts, roots));
         let dropped = stage(obs, "opt.coi", || coi(ctx, ts, roots));
-        let merged = satsweep
-            .as_mut()
-            .map_or(0, |pass| stage(obs, "opt.satsweep", || pass.run(ctx, ts, roots, obs)));
+        let swept = if combinational {
+            stage(obs, "opt.satsweep", || pass.run(ctx, ts, roots, obs))
+        } else {
+            0
+        };
+        let merged = stage(obs, "opt.regcorr", || pass.merge_registers(ctx, ts, roots, obs));
         stage(obs, "opt.sweep", || sweep(ctx, ts, roots));
         stats.rewrites += rewrites;
         stats.stuck_states += stuck;
         stats.chains_rebalanced += rebalanced;
         stats.coi_dropped_states += dropped;
         stats.rounds += 1;
-        if rewrites + stuck + rebalanced + dropped + merged == 0 {
+        if rewrites + stuck + rebalanced + dropped + swept + merged == 0 {
             break;
         }
     }
     stats.nodes_after = ctx.num_nodes();
     stats.constraints_dropped = constraints_before.saturating_sub(ts.constraints().len()) as u64;
-    if let Some(pass) = satsweep {
-        let s = pass.stats();
-        stats.pairs_proved = s.pairs_proved;
-        stats.pairs_refuted = s.pairs_refuted;
-        stats.nodes_merged = s.nodes_merged;
-        stats.sweep_conflicts = s.sweep_conflicts;
-    }
+    let s = pass.stats();
+    stats.pairs_proved = s.pairs_proved;
+    stats.pairs_refuted = s.pairs_refuted;
+    stats.nodes_merged = s.nodes_merged;
+    stats.sweep_conflicts = s.sweep_conflicts;
     stats
 }
 
@@ -712,7 +735,7 @@ fn coi(ctx: &Context, ts: &mut TransitionSystem, roots: &[ExprRef]) -> u64 {
     ts.retain_states(|sym| needed.contains(&sym)) as u64
 }
 
-// --- stage 6: sweep / dead-node elimination ---------------------------------
+// --- stage 7: sweep / dead-node elimination ---------------------------------
 
 /// Rebuilds the reachable structure into a fresh arena, dropping dead
 /// nodes and constant-true constraints.
@@ -824,13 +847,20 @@ mod tests {
         ts.add_signal("rhs", rhs);
         let prop = ctx.eq(lhs, rhs);
         let mut roots = vec![prop];
-        let stats = run_full(&mut ctx, &mut ts, &mut roots);
-        assert!(stats.rewrites >= 1, "factoring should fire: {stats:?}");
+        let (mut rctx, mut rts, mut rroots) = (ctx.clone(), ts.clone(), roots.clone());
+        assert!(rewrite(&mut rctx, &mut rts, &mut rroots) >= 1, "factoring should fire");
         assert_eq!(
-            ts.states()[0].next,
-            ts.states()[1].next,
+            rts.states()[0].next,
+            rts.states()[1].next,
             "both next functions hash-cons to one multiplier cone"
         );
+        // The shared cone makes the registers correspond structurally:
+        // the pipeline merges them and the property folds to true.
+        let stats = run_full(&mut ctx, &mut ts, &mut roots);
+        assert!(stats.rewrites >= 1, "{stats:?}");
+        assert_eq!((stats.pairs_proved, stats.nodes_merged, stats.sweep_conflicts), (1, 1, 0));
+        assert_eq!(ts.states().len(), 1, "{stats:?}");
+        assert_eq!(ctx.const_value(roots[0]).map(|v| v.to_bool()), Some(true));
     }
 
     #[test]
@@ -853,9 +883,16 @@ mod tests {
         ts.add_state(rhs, Some(zero), rhs_next);
         let prop = ctx.eq(lhs, rhs);
         let mut roots = vec![prop];
+        let (mut rctx, mut rts, mut rroots) = (ctx.clone(), ts.clone(), roots.clone());
+        assert!(rewrite(&mut rctx, &mut rts, &mut rroots) >= 1);
+        assert_eq!(rts.states()[0].next, rts.states()[1].next);
+        // Merged at `Full`: the property folds to true, and with no
+        // signal to anchor it the surviving register leaves the cone.
         let stats = run_full(&mut ctx, &mut ts, &mut roots);
         assert!(stats.rewrites >= 1);
-        assert_eq!(ts.states()[0].next, ts.states()[1].next);
+        assert_eq!((stats.pairs_proved, stats.nodes_merged, stats.sweep_conflicts), (1, 1, 0));
+        assert_eq!(ctx.const_value(roots[0]).map(|v| v.to_bool()), Some(true));
+        assert!(ts.states().is_empty(), "{stats:?}");
     }
 
     #[test]
@@ -1136,7 +1173,7 @@ mod tests {
             if level == OptLevel::SatSweep {
                 round.push("opt.satsweep");
             }
-            round.push("opt.sweep");
+            round.extend(["opt.regcorr", "opt.sweep"]);
             let mut expected = vec!["opt"];
             for _ in 0..stats.rounds {
                 expected.extend_from_slice(&round);

@@ -1,10 +1,12 @@
-//! SAT-sweeping: simulation-guided equivalence merging (fraiging).
+//! SAT-sweeping (simulation-guided equivalence merging, or fraiging) and
+//! register correspondence.
 //!
 //! The classic synthesis technique for collapsing cones that are
 //! *structurally* different but *functionally* equivalent — redundancy
 //! that local rewriting cannot see because no finite pattern set matches
-//! "these two DAGs compute the same function". The pass runs in three
-//! stages:
+//! "these two DAGs compute the same function". The combinational sweep
+//! ([`SatSweepPass::run`], pipeline stage `opt.satsweep`, only at
+//! [`OptLevel::SatSweep`](crate::OptLevel::SatSweep)) runs in three steps:
 //!
 //! 1. **Signatures.** The [`Simulator`] is driven
 //!    with deterministically seeded random input *and* state vectors
@@ -35,15 +37,20 @@
 //!    equivalence — free in CNF, where negation is literal polarity);
 //!    the downstream arena sweep reclaims the dead cone.
 //!
-//! A final **register-correspondence** stage lifts the same idea to the
-//! sequential level (van Eijk-style, restricted to singleton induction):
-//! two registers with structurally equal initial values whose next-state
-//! functions coincide *under the hypothesis that the registers are equal*
-//! (checked structurally after substitution, else by a budgeted miter)
-//! are merged into one. This is what collapses the paper's Listing-1
-//! shape — two counters stepping in lockstep — down to a single register,
-//! after which `eq(c, c)` folds to constant true and the induction step
-//! is structural.
+//! **Register correspondence** ([`SatSweepPass::merge_registers`]) lifts
+//! the same idea to the sequential level (van Eijk-style, restricted to
+//! singleton induction): two registers with structurally equal initial
+//! values whose next-state functions coincide *under the hypothesis that
+//! the registers are equal* are merged into one. This is what collapses
+//! the paper's Listing-1 shape — two counters stepping in lockstep — down
+//! to a single register, after which `eq(c, c)` folds to constant true
+//! and the induction step is structural. It is its own pipeline stage
+//! (`opt.regcorr`), run at [`OptLevel::Full`](crate::OptLevel::Full) as
+//! well as at `SatSweep`, so it is ordered cheapest check first: a pair
+//! must match in width and init, then its substituted next functions are
+//! compared structurally; only matched pairs that are not structurally
+//! equal pay for from-reset simulation (which stops once every such pair
+//! has differed) and, where the traces agree, a budgeted miter.
 //!
 //! ## Soundness
 //!
@@ -91,13 +98,11 @@ pub struct SatSweepConfig {
     pub vectors: usize,
     /// Seed for the deterministic stimulus stream.
     pub seed: u64,
-    /// Upper bound on SAT equivalence queries per pass invocation.
+    /// Upper bound on SAT equivalence queries per stage call.
     pub max_pairs: usize,
     /// Conflict budget per equivalence query; exhausted queries return
     /// `Unknown` and the pair is skipped, keeping sweeping bounded.
     pub conflict_budget: u64,
-    /// Whether to run the sequential register-correspondence stage.
-    pub merge_registers: bool,
 }
 
 impl Default for SatSweepConfig {
@@ -107,7 +112,6 @@ impl Default for SatSweepConfig {
             seed: 0x5eed_5a77_57ee_9000,
             max_pairs: 256,
             conflict_budget: 2_000,
-            merge_registers: true,
         }
     }
 }
@@ -118,8 +122,9 @@ pub struct SatSweepStats {
     /// Candidate pairs proved equivalent (UNSAT miters plus structural
     /// register correspondences).
     pub pairs_proved: u64,
-    /// Candidate pairs refuted by a SAT miter (each one contributes a
-    /// refinement vector).
+    /// Candidate pairs refuted by a SAT miter (a combinational refutation
+    /// also contributes a refinement vector). A miter that exhausts its
+    /// budget counts as neither proved nor refuted.
     pub pairs_refuted: u64,
     /// Nodes rewritten to a class representative (including merged
     /// registers).
@@ -141,6 +146,16 @@ struct Miter {
     a: ExprRef,
     b: ExprRef,
     negated: bool,
+}
+
+/// Two registers of equal width and init, `gone` to be merged into
+/// `keep`, and the miter of their next functions with `keep` substituted
+/// for `gone`.
+#[derive(Clone, Copy)]
+struct RegisterPair {
+    keep: ExprRef,
+    gone: ExprRef,
+    next: Miter,
 }
 
 /// One long-lived sweep solver: constraints asserted once, each miter
@@ -209,9 +224,12 @@ impl SweepSolver {
     }
 }
 
-/// Simulation-guided SAT equivalence merging (see module docs). Not to be
-/// confused with the arena-compaction `sweep` pass, which only collects
-/// garbage — this pass *creates* the garbage for it to collect.
+/// Simulation-guided SAT equivalence merging ([`SatSweepPass::run`]) and
+/// register correspondence ([`SatSweepPass::merge_registers`]), two
+/// pipeline stages sharing one tuning and one set of counters (see module
+/// docs). Not to be confused with the arena-compaction `sweep` pass,
+/// which only collects garbage — this pass *creates* the garbage for it
+/// to collect.
 pub struct SatSweepPass {
     config: SatSweepConfig,
     stats: SatSweepStats,
@@ -239,9 +257,8 @@ impl SatSweepPass {
         &self.stats
     }
 
-    /// Runs the combinational sweep, then register correspondence when
-    /// configured, recording the queries issued and nodes merged on
-    /// `obs`. Returns the number of nodes merged.
+    /// Runs the combinational sweep, recording the queries issued and
+    /// nodes merged on `obs`. Returns the number of nodes merged.
     pub fn run(
         &mut self,
         ctx: &mut Context,
@@ -250,10 +267,7 @@ impl SatSweepPass {
         obs: &Obs,
     ) -> u64 {
         let mut queries = 0usize;
-        let mut fired = self.sweep_combinational(ctx, ts, roots, &mut queries);
-        if self.config.merge_registers {
-            fired += self.merge_registers(ctx, ts, roots, &mut queries);
-        }
+        let fired = self.sweep_combinational(ctx, ts, roots, &mut queries);
         obs.add(Counter::SweepPairs, queries as u64);
         obs.add(Counter::SweepMerges, fired);
         fired
@@ -487,18 +501,21 @@ impl SatSweepPass {
         fired
     }
 
-    // --- stage 4: register correspondence ------------------------------------
+    // --- register correspondence ----------------------------------------
 
-    /// From-reset sequential signatures for every register: a few short
-    /// constraint-aware random runs, concatenated. Registers whose traces
-    /// differ can never be correspondence-merged and are filtered before
-    /// any solver work.
-    fn sequential_traces(
+    /// The pairs whose registers agree on every cycle of a few short
+    /// constraint-aware random runs from reset. Registers whose traces
+    /// differ can never correspond, so only the pairs returned are worth
+    /// a miter. The simulation stops once every pair has differed.
+    fn trace_agreeing(
         &self,
         ctx: &Context,
         ts: &TransitionSystem,
-    ) -> HashMap<ExprRef, Vec<BitVecValue>> {
-        let mut traces: HashMap<ExprRef, Vec<BitVecValue>> = HashMap::new();
+        mut pairs: Vec<RegisterPair>,
+    ) -> Vec<RegisterPair> {
+        if pairs.is_empty() {
+            return pairs;
+        }
         let mut stream = self.config.seed ^ 0xc2b2_ae3d_27d4_eb4f;
         for _run in 0..3 {
             let mut sim = Simulator::new(ctx, ts);
@@ -510,85 +527,105 @@ impl SatSweepPass {
                         break;
                     }
                 }
-                for s in ts.states() {
-                    traces.entry(s.symbol).or_default().push(sim.get(s.symbol).clone());
+                pairs.retain(|p| sim.get(p.keep) == sim.get(p.gone));
+                if pairs.is_empty() {
+                    return pairs;
                 }
                 sim.step();
             }
         }
-        traces
+        pairs
     }
 
-    /// Merges register pairs with structurally equal inits whose next
-    /// functions coincide under the hypothesis that the registers are
-    /// equal — structurally after substitution when possible, else by a
-    /// budgeted miter. Returns the number of registers merged.
-    fn merge_registers(
+    /// The register-correspondence stage (see module docs): merges
+    /// register pairs with equal widths and structurally equal inits whose
+    /// next functions coincide under the hypothesis that the registers are
+    /// equal, recording the miters issued and registers merged on `obs`.
+    /// Returns the number of registers merged.
+    ///
+    /// Checks run cheapest first. A structural match after substitution
+    /// is merged at once: equal inits and equal substituted next functions
+    /// make the registers equal on every trace. Only when no pair matches
+    /// structurally do the remaining pairs pay for simulation, and a pair
+    /// whose traces agree for a budgeted miter.
+    pub fn merge_registers(
         &mut self,
         ctx: &mut Context,
         ts: &mut TransitionSystem,
         roots: &mut [ExprRef],
-        queries: &mut usize,
+        obs: &Obs,
     ) -> u64 {
-        if ts.states().len() < 2 {
-            return 0;
-        }
-        let traces = self.sequential_traces(ctx, ts);
+        let mut queries = 0usize;
         let mut merged = 0u64;
         'restart: loop {
             let states = ts.states().to_vec();
+            let mut hard: Vec<RegisterPair> = Vec::new();
             for i in 0..states.len() {
                 for j in (i + 1)..states.len() {
                     let (r, s) = (&states[i], &states[j]);
-                    if ctx.width_of(r.symbol) != ctx.width_of(s.symbol) {
-                        continue;
-                    }
                     let (Some(ri), Some(si)) = (r.init, s.init) else { continue };
-                    if ri != si || traces.get(&r.symbol) != traces.get(&s.symbol) {
+                    if ri != si || ctx.width_of(r.symbol) != ctx.width_of(s.symbol) {
                         continue;
                     }
                     let sub = HashMap::from([(s.symbol, r.symbol)]);
                     let nr = ctx.substitute(r.next, &sub);
                     let ns = ctx.substitute(s.next, &sub);
-                    let proved = if nr == ns {
-                        true
-                    } else if *queries < self.config.max_pairs {
-                        *queries += 1;
-                        let mut solver = SweepSolver::new(ctx, ts);
-                        matches!(
-                            solver.prove_pair(
-                                ctx,
-                                ts,
-                                Miter { a: nr, b: ns, negated: false },
-                                self.config.conflict_budget,
-                                &mut self.stats.sweep_conflicts,
-                            ),
-                            PairOutcome::Proved
-                        )
-                    } else {
-                        false
-                    };
-                    if !proved {
-                        if nr != ns {
-                            self.stats.pairs_refuted += 1;
-                        }
-                        continue;
+                    let next = Miter { a: nr, b: ns, negated: false };
+                    let pair = RegisterPair { keep: r.symbol, gone: s.symbol, next };
+                    if nr == ns {
+                        self.merge_pair(ctx, ts, roots, pair);
+                        merged += 1;
+                        continue 'restart;
                     }
-                    self.stats.pairs_proved += 1;
-                    self.stats.nodes_merged += 1;
-                    ts.map_exprs(|e| ctx.substitute(e, &sub));
-                    for root in roots.iter_mut() {
-                        *root = ctx.substitute(*root, &sub);
+                    hard.push(pair);
+                }
+            }
+            for pair in self.trace_agreeing(ctx, ts, hard) {
+                if queries >= self.config.max_pairs {
+                    break;
+                }
+                queries += 1;
+                let outcome = SweepSolver::new(ctx, ts).prove_pair(
+                    ctx,
+                    ts,
+                    pair.next,
+                    self.config.conflict_budget,
+                    &mut self.stats.sweep_conflicts,
+                );
+                match outcome {
+                    PairOutcome::Proved => {
+                        self.merge_pair(ctx, ts, roots, pair);
+                        merged += 1;
+                        continue 'restart;
                     }
-                    let gone = s.symbol;
-                    ts.retain_states(|sym| sym != gone);
-                    merged += 1;
-                    continue 'restart;
+                    PairOutcome::Refuted(_) => self.stats.pairs_refuted += 1,
+                    PairOutcome::Unknown => {}
                 }
             }
             break;
         }
+        obs.add(Counter::SweepPairs, queries as u64);
+        obs.add(Counter::SweepMerges, merged);
         merged
+    }
+
+    /// Substitutes `pair.keep` for `pair.gone` everywhere and drops the
+    /// merged-away register.
+    fn merge_pair(
+        &mut self,
+        ctx: &mut Context,
+        ts: &mut TransitionSystem,
+        roots: &mut [ExprRef],
+        pair: RegisterPair,
+    ) {
+        self.stats.pairs_proved += 1;
+        self.stats.nodes_merged += 1;
+        let sub = HashMap::from([(pair.gone, pair.keep)]);
+        ts.map_exprs(|e| ctx.substitute(e, &sub));
+        for root in roots.iter_mut() {
+            *root = ctx.substitute(*root, &sub);
+        }
+        ts.retain_states(|sym| sym != pair.gone);
     }
 }
 
@@ -635,6 +672,8 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
 
+    /// Both stages, in pipeline order: the combinational sweep, then
+    /// register correspondence.
     fn sweep(
         ctx: &mut Context,
         ts: &mut TransitionSystem,
@@ -643,6 +682,7 @@ mod tests {
     ) -> SatSweepStats {
         let mut pass = SatSweepPass::with_config(config);
         pass.run(ctx, ts, roots, &Obs::off());
+        pass.merge_registers(ctx, ts, roots, &Obs::off());
         *pass.stats()
     }
 
@@ -798,6 +838,47 @@ mod tests {
         assert!(stats.nodes_merged >= 1, "{stats:?}");
         assert_eq!(ts.states().len(), 1, "registers merged");
         assert_eq!(ctx.const_value(roots[0]).map(|v| v.to_bool()), Some(true));
+    }
+
+    #[test]
+    fn budget_exhausted_register_miter_is_not_refuted() {
+        // Two registers latch a*(b+c) and a*b + a*c: equal from reset on,
+        // but only a multiplier miter can tell, and a one-conflict budget
+        // cannot. An unanswered miter must leave the pair unmerged and
+        // count as neither proved nor refuted.
+        let mut ctx = Context::new();
+        let a = ctx.symbol("a", 4);
+        let b = ctx.symbol("b", 4);
+        let c = ctx.symbol("c", 4);
+        let sum = ctx.add(b, c);
+        let lhs_next = ctx.mul(a, sum);
+        let ab = ctx.mul(a, b);
+        let ac = ctx.mul(a, c);
+        let rhs_next = ctx.add(ab, ac);
+        let lhs = ctx.symbol("lhs", 4);
+        let rhs = ctx.symbol("rhs", 4);
+        let zero = ctx.constant(0, 4);
+        let mut ts = TransitionSystem::new("t");
+        for s in [a, b, c] {
+            ts.add_input(s);
+        }
+        ts.add_state(lhs, Some(zero), lhs_next);
+        ts.add_state(rhs, Some(zero), rhs_next);
+        let prop = ctx.eq(lhs, rhs);
+        let mut roots = vec![prop];
+        let config = SatSweepConfig { conflict_budget: 1, ..SatSweepConfig::default() };
+        let mut pass = SatSweepPass::with_config(config);
+        let merged = pass.merge_registers(&mut ctx, &mut ts, &mut roots, &Obs::off());
+        let stats = *pass.stats();
+        assert_eq!(merged, 0, "{stats:?}");
+        assert_eq!(ts.states().len(), 2, "hard pair left unmerged");
+        assert_eq!(stats.pairs_refuted, 0, "a budgeted-out miter refutes nothing: {stats:?}");
+        assert_eq!(stats.pairs_proved, 0, "{stats:?}");
+        assert!(stats.sweep_conflicts >= 1, "the miter ran: {stats:?}");
+        // A generous budget proves the same pair.
+        let mut pass = SatSweepPass::new();
+        assert_eq!(pass.merge_registers(&mut ctx, &mut ts, &mut roots, &Obs::off()), 1);
+        assert_eq!(ts.states().len(), 1);
     }
 
     #[test]

@@ -380,7 +380,8 @@ pub struct ProofSession<'c> {
     /// frame `< covered`. Step queries assume the one selector instead of
     /// `k` separate `ok` literals, so learnt clauses are conditioned on a
     /// *stable* literal and transfer across induction depths (and across
-    /// the properties of a shared session).
+    /// the properties of a shared session). A step query at depth `k`
+    /// reuses the guard only while `covered <= k`.
     step_prop_guards: std::collections::HashMap<ExprRef, (Lit, usize)>,
     /// Warm-start capital adopted from [`CheckConfig::seed`] when the
     /// seed's fingerprint matches this design; learnt clean depths are
@@ -854,10 +855,13 @@ impl<'c> ProofSession<'c> {
             // carry that single literal instead of a depth-dependent set
             // of `ok` assumptions, so conflict knowledge from earlier
             // depths — and earlier properties on this session — stays
-            // usable.
+            // usable. A guard that an earlier `prove` of the same `ok`
+            // extended past `k` also implies `ok@k`, which would make the
+            // step query trivially UNSAT: that one is left alone and a
+            // fresh selector takes its place.
             let (guard, covered) = match self.step_prop_guards.get(&property.ok) {
-                Some(&(g, c)) => (g, c),
-                None => (self.new_selector(), 0),
+                Some(&(g, c)) if c <= k => (g, c),
+                _ => (self.new_selector(), 0),
             };
             for frame in covered..k {
                 let ok = self.step.lit_at(frame, property.ok);
@@ -999,6 +1003,29 @@ mod tests {
         assert_eq!(stats.bitblasts, 1, "one persistent load for the whole session");
         assert_eq!(stats.rebuilds_avoided, stats.solver_calls - 1);
         assert!(stats.clauses_retained > 0);
+    }
+
+    #[test]
+    fn reproving_a_property_repeats_its_step_failure() {
+        // count < 12 is violated only at cycle 12, beyond max_k, and its
+        // step fails at every depth (from count = 11). The first `prove`
+        // extends the property's step guard over frames 0..3; a second
+        // `prove` that reused it at k=1 would assume ok@1 and turn the
+        // step query trivially UNSAT.
+        let mut ctx = Context::new();
+        let ts = counter(&mut ctx);
+        let c = ctx.find_symbol("count").unwrap();
+        let twelve = ctx.constant(12, 4);
+        let lt12 = ctx.ult(c, twelve);
+        let prop = Property::new("lt12", lt12);
+        let config = CheckConfig { max_k: 3, ..Default::default() };
+        let mut s = ProofSession::new(&ctx, &ts, config);
+        for attempt in 0..2 {
+            match s.prove(&prop) {
+                ProveResult::StepFailure { k, .. } => assert_eq!(k, 3, "attempt {attempt}"),
+                other => panic!("attempt {attempt}: expected a step failure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -92,10 +92,14 @@ impl<M: LanguageModel> LanguageModel for FilteredModel<M> {
 
 fn main() -> Result<(), Error> {
     let bundle = genfv::designs::by_name("sync_counters_16").expect("corpus");
+    // Plain k-induction (`OptLevel::None`), so the models have something
+    // to repair: the default prepare merges the lockstep counters and
+    // proves the target before any model is asked.
+    let plain = OptConfig::default().with_level(OptLevel::None);
 
     println!("=== Flow 2 with a hand-rolled rule-based model ===");
     let mut model = RuleBasedModel;
-    let report = run_flow2(bundle.prepare()?, &mut model, &FlowConfig::default());
+    let report = run_flow2(bundle.prepare_with(&plain)?, &mut model, &FlowConfig::default());
     println!("{}", genfv::core::render_report(&report));
     assert!(report.all_proven(), "equality heuristic suffices for lockstep counters");
 
@@ -105,7 +109,7 @@ fn main() -> Result<(), Error> {
         blocklist: vec!["[31]"], // censor bit-31 relations, keep the rest
         name: "gpt-4-turbo+filter".to_string(),
     };
-    let report = run_flow2(bundle.prepare()?, &mut filtered, &FlowConfig::default());
+    let report = run_flow2(bundle.prepare_with(&plain)?, &mut filtered, &FlowConfig::default());
     println!("{}", genfv::core::render_report(&report));
     assert!(report.all_proven());
     Ok(())

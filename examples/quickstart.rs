@@ -20,7 +20,11 @@ fn main() -> Result<(), Error> {
     }
 
     // Step 1: plain k-induction fails its inductive step (paper Fig. 3).
-    let design = bundle.prepare()?;
+    // `OptLevel::None` is the paper's baseline: the default prepare would
+    // merge the lockstep counters by register correspondence, and the
+    // target would prove without any help.
+    let plain = OptConfig::default().with_level(OptLevel::None);
+    let design = bundle.prepare_with(&plain)?;
     let baseline = run_baseline(&design, &FlowConfig::default());
     println!("\n=== Plain k-induction (no GenAI) ===");
     print!("{}", genfv::core::summarize_targets(&baseline));
@@ -35,7 +39,7 @@ fn main() -> Result<(), Error> {
     // Step 2: Flow 2 — the CEX and the RTL go to the (synthetic) LLM,
     // which produces helper assertions; validated lemmas close the proof.
     let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 42);
-    let report = run_flow2(bundle.prepare()?, &mut llm, &FlowConfig::default());
+    let report = run_flow2(bundle.prepare_with(&plain)?, &mut llm, &FlowConfig::default());
     println!("\n=== Flow 2: GenAI-augmented induction ===");
     println!("{}", genfv::core::render_events(&report));
     println!("{}", genfv::core::render_report(&report));

@@ -107,8 +107,8 @@ pub use genfv_sva as sva;
 /// ```
 pub mod prelude {
     pub use genfv_core::{
-        run_baseline, run_flow1, run_flow2, CorpusMode, Error, FlowConfig, FlowReport,
-        PreparedDesign, ServiceError, TargetOutcome,
+        run_baseline, run_flow1, run_flow2, CorpusMode, Error, FlowConfig, FlowReport, OptConfig,
+        OptLevel, PreparedDesign, ServiceError, TargetOutcome,
     };
     pub use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
     pub use genfv_ir::{BitVecValue, Context, Simulator, TransitionSystem};

@@ -70,12 +70,16 @@ module sync8 (input clk, rst, output logic [7:0] count1, count2);
 endmodule
 "#;
 
+/// The lockstep counters under the paper's plain k-induction
+/// (`OptLevel::None`): at the default prepare, register correspondence
+/// merges them and the target proves with no lemma at all.
 fn design() -> PreparedDesign {
-    PreparedDesign::new(
+    PreparedDesign::with_opt(
         "sync8",
         SYNC8,
         "two lockstep counters",
         &[("equal".to_string(), "&count1 |-> &count2".to_string())],
+        &OptConfig::default().with_level(OptLevel::None),
     )
     .unwrap()
 }

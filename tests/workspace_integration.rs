@@ -9,7 +9,10 @@ use genfv::prelude::*;
 #[test]
 fn paper_pipeline_through_facade() {
     let bundle = genfv::designs::by_name("sync_counters").unwrap();
-    let design = bundle.prepare().unwrap();
+    // The paper's plain k-induction: at the default prepare, register
+    // correspondence merges the lockstep counters and the target proves.
+    let plain = OptConfig::default().with_level(OptLevel::None);
+    let design = bundle.prepare_with(&plain).unwrap();
 
     // Baseline fails exactly like the paper says.
     let baseline = run_baseline(&design, &FlowConfig::default());
@@ -17,7 +20,7 @@ fn paper_pipeline_through_facade() {
 
     // Flow 2 closes it.
     let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 2024);
-    let report = run_flow2(bundle.prepare().unwrap(), &mut llm, &FlowConfig::default());
+    let report = run_flow2(bundle.prepare_with(&plain).unwrap(), &mut llm, &FlowConfig::default());
     assert!(report.all_proven());
     assert!(report.lemmas.iter().any(|l| l.text.contains("count1") && l.text.contains("count2")));
 }
