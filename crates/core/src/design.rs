@@ -223,6 +223,33 @@ endmodule
         assert!(err.to_string().contains("unknown signal"), "{err}");
     }
 
+    /// Widths no value can have are typed errors, never panics: sized
+    /// literals of size 0 or past `BitVecValue::MAX_WIDTH` (RTL and SVA
+    /// alike), and declared ranges past it, including a parameter whose
+    /// `[W:0]` range used to wrap to width 0.
+    #[test]
+    fn hostile_widths_are_typed_errors() {
+        let target = |sva: &str| vec![("t".to_string(), sva.to_string())];
+        let rtl_cases = [
+            RTL.replace("8'd1", "0'b1"),
+            RTL.replace("8'd1", "0'h1"),
+            RTL.replace("8'd1", "4294967295'd1"),
+            RTL.replace("c <= c + 8'd1;", "case (c) 0'b1: c <= '0; default: c <= c; endcase"),
+            RTL.replace("[7:0] c", "[2000000:0] c"),
+            RTL.replace("module counter (", "module counter #(parameter W = 4294967295) (")
+                .replace("[7:0] c", "[W:0] c"),
+        ];
+        for rtl in &rtl_cases {
+            let err = PreparedDesign::new("hostile", rtl.as_str(), "s", &target("c == c"))
+                .expect_err(rtl);
+            assert!(matches!(err, Error::Parse { .. } | Error::Design { .. }), "{err}");
+        }
+        for sva in ["c == 0'b1", "c == 2000000'd1", "$onehot(0'b0)"] {
+            let err = PreparedDesign::new("counter", RTL, "s", &target(sva)).expect_err(sva);
+            assert!(matches!(err, Error::Compile { .. }), "{sva}: {err}");
+        }
+    }
+
     #[test]
     fn reports_empty_source_as_design_error() {
         let err = PreparedDesign::new("empty", "", "s", &[]).unwrap_err();

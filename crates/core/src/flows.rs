@@ -39,6 +39,7 @@ use genfv_mc::{
 };
 use genfv_obs::{Accumulate, Obs};
 use genfv_sva::parse_assertions;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Which flow a job runs.
@@ -432,8 +433,11 @@ impl<'a> Run<'a> {
 
     /// Runs the validation gauntlet over `candidates` against the design,
     /// records every rejection, and returns the indices of the accepted
-    /// ones for `install`. It only reads the design, so a repair loop
-    /// keeps its live session across iterations that accept nothing.
+    /// ones for `install`. An accepted candidate whose text is already an
+    /// installed lemma, or repeats an earlier candidate of the batch, is
+    /// logged and left out: each lemma is installed once. It only reads
+    /// the design, so a repair loop keeps its live session across
+    /// iterations that accept nothing new.
     fn evaluate(&mut self, design: &PreparedDesign, candidates: &[Candidate]) -> Vec<usize> {
         let t0 = Instant::now();
         let (accepted, outcomes, stats) = validate_batch(
@@ -469,7 +473,13 @@ impl<'a> Run<'a> {
             };
             self.log(format!("  {line}"));
         }
-        accepted
+        let mut installed: HashSet<&str> = self.lemmas.iter().map(|l| l.text.as_str()).collect();
+        let (fresh, repeats): (Vec<usize>, Vec<usize>) =
+            accepted.into_iter().partition(|&i| installed.insert(&candidates[i].text));
+        for i in repeats {
+            self.log(format!("  = {}: already installed as a lemma", candidates[i].name));
+        }
+        fresh
     }
 
     /// Compiles the accepted candidates onto the design (mutating it) and

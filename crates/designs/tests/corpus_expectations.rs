@@ -171,3 +171,21 @@ fn default_prepare_closes_exactly_the_lockstep_designs() {
         }
     }
 }
+
+/// Each lemma is installed once. Under the Llama-class profile, seed 0,
+/// Flow 2's repair rounds on `fifo_counters` keep proposing
+/// `count <= 8'd16`, which validates every time; it used to be installed
+/// three times. The repeats are logged and left out, and the run makes
+/// the same LLM calls and repair iterations as before.
+#[test]
+fn flow2_installs_a_repeated_lemma_once() {
+    let design = by_name("fifo_counters").unwrap().prepare().unwrap();
+    let mut llm = SyntheticLlm::new(ModelProfile::LlamaThree, 0);
+    let report = run_flow2(design, &mut llm, &FlowConfig::default());
+    let texts: Vec<&str> = report.lemmas.iter().map(|l| l.text.as_str()).collect();
+    assert_eq!(texts, ["(count <= 8'd16)"], "{:#?}", report.events);
+    assert_eq!(report.metrics.lemmas_accepted, 1);
+    assert_eq!((report.metrics.llm_calls, report.metrics.iterations), (4, 4));
+    let skipped = report.events.iter().filter(|e| e.contains("already installed")).count();
+    assert_eq!(skipped, 2, "{:#?}", report.events);
+}

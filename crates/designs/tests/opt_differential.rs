@@ -271,21 +271,48 @@ fn full_opt_shrinks_datapath_cnf() {
     }
 }
 
+/// Register correspondence stays within its budget: every miter is capped
+/// at 2000 conflicts (`regcorr.rs`'s per-miter budget), so the conflicts
+/// a prepare spends are bounded by queries × budget. On this corpus every
+/// merge is structural, so no miter refutes anything or spends a conflict.
+#[test]
+fn regcorr_stays_within_its_conflict_budget() {
+    const BUDGET: u64 = 2_000;
+    for bundle in full_corpus() {
+        let stats = optimized_prep(&bundle).opt_stats;
+        let queries = stats.pairs_proved + stats.pairs_refuted;
+        assert!(
+            stats.sweep_conflicts <= queries.max(1) * BUDGET,
+            "{}: miter conflicts exceed the budget envelope: {stats:?}",
+            bundle.name
+        );
+        assert_eq!(
+            (stats.pairs_refuted, stats.sweep_conflicts, stats.pairs_proved),
+            (0, 0, stats.nodes_merged),
+            "{}: every corpus merge is structural",
+            bundle.name
+        );
+    }
+}
+
 /// Elaboration is deterministic: every design prepared twice in one
 /// process, at every optimization level, yields the same layout
 /// fingerprint, as `SessionSeed::fingerprint` documents for identical
 /// sources. Without the ordered branch maps in the elaborator, mux nodes
 /// were interned in hash order and unoptimized layouts differed.
+/// `OptLevel::SatSweep` runs exactly the `Full` stages, so it lays out
+/// the same system as `Full`.
 #[test]
 fn identical_sources_share_a_fingerprint() {
     use genfv_mc::SessionSeed;
     for bundle in full_corpus() {
+        let fingerprint = |level| {
+            let d = bundle.prepare_with(&OptConfig::default().with_level(level)).unwrap();
+            SessionSeed::fingerprint(&d.ctx, &d.ts)
+        };
         for level in [OptLevel::None, OptLevel::Full, OptLevel::SatSweep] {
-            let fingerprint = || {
-                let d = bundle.prepare_with(&OptConfig::default().with_level(level)).unwrap();
-                SessionSeed::fingerprint(&d.ctx, &d.ts)
-            };
-            assert_eq!(fingerprint(), fingerprint(), "{} at {level:?}", bundle.name);
+            assert_eq!(fingerprint(level), fingerprint(level), "{} at {level:?}", bundle.name);
         }
+        assert_eq!(fingerprint(OptLevel::SatSweep), fingerprint(OptLevel::Full), "{}", bundle.name);
     }
 }

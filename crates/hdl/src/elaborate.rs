@@ -286,6 +286,12 @@ impl<'a> Elaborator<'a> {
                         "only [N:0] ranges are supported, got [{hi}:{lo}]"
                     )));
                 }
+                if hi >= u64::from(BitVecValue::MAX_WIDTH) {
+                    return Err(ElabError::new(format!(
+                        "range [{hi}:0] is wider than {} bits",
+                        BitVecValue::MAX_WIDTH
+                    )));
+                }
                 Ok(hi as u32 + 1)
             }
         }

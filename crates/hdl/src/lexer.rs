@@ -1,5 +1,6 @@
 //! Tokeniser for the supported Verilog subset.
 
+use genfv_ir::BitVecValue;
 use std::error::Error;
 use std::fmt;
 
@@ -87,7 +88,8 @@ const PUNCTS: &[&str] = &[
 /// Tokenises `src`.
 ///
 /// # Errors
-/// Returns [`LexError`] on unexpected characters or malformed literals.
+/// Returns [`LexError`] on unexpected characters or malformed literals,
+/// including a size prefix outside `1..=`[`BitVecValue::MAX_WIDTH`].
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let chars: Vec<char> = src.chars().collect();
@@ -165,9 +167,14 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 let text: String = chars[start..i].iter().filter(|c| **c != '_').collect();
                 if i < chars.len() && chars[i] == '\'' {
-                    size = Some(text.parse().map_err(|_| LexError {
+                    let width =
+                        text.parse().ok().filter(|w| (1..=BitVecValue::MAX_WIDTH).contains(w));
+                    size = Some(width.ok_or_else(|| LexError {
                         pos,
-                        message: format!("bad size prefix `{text}`"),
+                        message: format!(
+                            "bad size prefix `{text}` (sizes run from 1 to {})",
+                            BitVecValue::MAX_WIDTH
+                        ),
                     })?);
                 } else {
                     out.push(Token {
@@ -257,13 +264,15 @@ mod tests {
     #[test]
     fn numbers() {
         assert_eq!(
-            kinds("42 8'hFF 32'b0 4'd12 '0"),
+            kinds("42 8'hFF 32'b0 4'd12 '0 1'b1 1048576'd1"),
             vec![
                 Tok::Number { size: None, base: 'i', digits: "42".into() },
                 Tok::Number { size: Some(8), base: 'h', digits: "FF".into() },
                 Tok::Number { size: Some(32), base: 'b', digits: "0".into() },
                 Tok::Number { size: Some(4), base: 'd', digits: "12".into() },
                 Tok::Number { size: None, base: 'f', digits: "0".into() },
+                Tok::Number { size: Some(1), base: 'b', digits: "1".into() },
+                Tok::Number { size: Some(BitVecValue::MAX_WIDTH), base: 'd', digits: "1".into() },
                 Tok::Eof
             ]
         );
@@ -334,5 +343,9 @@ mod tests {
         assert!(lex("/* unterminated").is_err());
         assert!(lex("8'x0").is_err());
         assert!(lex("8'").is_err());
+        // Sizes outside 1..=BitVecValue::MAX_WIDTH.
+        assert!(lex("0'b1").is_err());
+        assert!(lex("1048577'd1").is_err());
+        assert!(lex("4294967295'h1").is_err());
     }
 }

@@ -23,17 +23,6 @@ pub fn evaluate(ctx: &Context, env: &Env, e: ExprRef) -> BitVecValue {
     eval_memo(ctx, env, e, &mut memo)
 }
 
-/// Evaluates many expressions under one shared memo — a single arena walk
-/// instead of one per root. The SAT-sweep signature engine uses this to
-/// value every candidate node of a stimulus vector at once.
-///
-/// # Panics
-/// Panics if a reachable symbol is unbound.
-pub fn evaluate_all(ctx: &Context, env: &Env, es: &[ExprRef]) -> Vec<BitVecValue> {
-    let mut memo: HashMap<ExprRef, BitVecValue> = HashMap::new();
-    es.iter().map(|&e| eval_memo(ctx, env, e, &mut memo)).collect()
-}
-
 /// The splitmix64 step: a tiny, high-quality, dependency-free PRNG. The
 /// simulator's stimulus helpers derive every random bit from it so stimulus
 /// is a pure function of the caller's seed.
@@ -212,25 +201,11 @@ impl<'a> Simulator<'a> {
     /// Assigns every declared input a deterministic pseudo-random value
     /// derived from `seed` (splitmix64 over the declaration order). Two
     /// simulators over the same system and seed see identical stimulus, so
-    /// callers — the SAT-sweep signature engine, differential tests —
-    /// never hand-roll input vectors.
+    /// callers — register correspondence's from-reset runs, differential
+    /// tests — never hand-roll input vectors.
     pub fn randomize_inputs(&mut self, seed: u64) {
         let mut state = seed ^ 0xa076_1d64_78bd_642f;
         let syms: Vec<ExprRef> = self.ts.inputs().to_vec();
-        for sym in syms {
-            let v = random_value(&mut state, self.ctx.width_of(sym));
-            self.env.insert(sym, v);
-        }
-    }
-
-    /// Assigns every state register a deterministic pseudo-random value
-    /// derived from `seed` — an *arbitrary* current frame in the
-    /// induction-hypothesis sense, not a reachable one. The SAT-sweep
-    /// signature engine uses this so candidate classes reflect
-    /// combinational equivalence rather than reachability accidents.
-    pub fn randomize_states(&mut self, seed: u64) {
-        let mut state = seed ^ 0xe703_7ed1_a0b4_28db;
-        let syms: Vec<ExprRef> = self.ts.states().iter().map(|s| s.symbol).collect();
         for sym in syms {
             let v = random_value(&mut state, self.ctx.width_of(sym));
             self.env.insert(sym, v);
@@ -342,10 +317,8 @@ mod tests {
         let mut s1 = Simulator::new(&ctx, &ts);
         let mut s2 = Simulator::new(&ctx, &ts);
         s1.randomize_inputs(7);
-        s1.randomize_states(9);
         s2.randomize_inputs(7);
-        s2.randomize_states(9);
-        for sym in [a, b, r] {
+        for sym in [a, b] {
             assert_eq!(s1.get(sym), s2.get(sym), "same seed, same stimulus");
             assert_eq!(s1.get(sym).width(), ctx.width_of(sym));
         }
@@ -355,22 +328,6 @@ mod tests {
             "different seeds should move at least one input"
         );
         assert_eq!(s1.get(r), s2.get(r), "randomize_inputs leaves states alone");
-    }
-
-    #[test]
-    fn evaluate_all_matches_evaluate() {
-        let mut ctx = Context::new();
-        let a = ctx.symbol("a", 8);
-        let b = ctx.symbol("b", 8);
-        let sum = ctx.add(a, b);
-        let prod = ctx.mul(sum, a);
-        let mut env = Env::new();
-        env.insert(a, BitVecValue::from_u64(3, 8));
-        env.insert(b, BitVecValue::from_u64(4, 8));
-        let all = evaluate_all(&ctx, &env, &[sum, prod, a]);
-        assert_eq!(all[0], evaluate(&ctx, &env, sum));
-        assert_eq!(all[1], evaluate(&ctx, &env, prod));
-        assert_eq!(all[2], evaluate(&ctx, &env, a));
     }
 
     #[test]

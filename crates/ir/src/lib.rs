@@ -9,6 +9,10 @@
 //! * [`TransitionSystem`] — elaborated RTL: inputs, state registers with
 //!   init/next functions, constraints, named signals;
 //! * [`Simulator`] / [`evaluate`] — the executable semantics;
+//! * [`optimize`] — the prepare-time netlist optimizer, a loop of plain
+//!   stage calls: local rewriting, stuck-at folding, rebalancing, cone of
+//!   influence, register correspondence (merging registers that step in
+//!   lockstep) and arena compaction;
 //! * [`BitBlaster`] / [`LitEnv`] — lowering to CNF over the `genfv-sat`
 //!   solver, one literal per bit, with per-frame instantiation for
 //!   unrolling.
@@ -46,17 +50,16 @@ pub mod encode;
 pub mod eval;
 pub mod expr;
 pub mod opt;
-pub mod satsweep;
+mod regcorr;
 pub mod template;
 pub mod ts;
 pub mod value;
 
 pub use bitblast::{BitBlaster, LitEnv};
 pub use encode::GateEncoder;
-pub use eval::{evaluate, evaluate_all, Env, Simulator};
+pub use eval::{evaluate, Env, Simulator};
 pub use expr::{BinaryOp, Context, Expr, ExprRef, UnaryOp};
 pub use opt::{optimize, OptConfig, OptLevel, OptStats};
-pub use satsweep::{SatSweepConfig, SatSweepPass, SatSweepStats};
 pub use template::{FrameStamp, TRef, Template, TemplateStats};
 pub use ts::{State, TransitionSystem};
 pub use value::BitVecValue;

@@ -32,46 +32,31 @@
 //!    every property vacuously true — removing it would be unsound) and
 //!    signals anchor the cone so counterexample waveforms and Flow-2
 //!    prompts render identically before and after optimization.
-//! 5. **`satsweep`** ([`OptLevel::SatSweep`] only) — combinational
-//!    SAT-sweeping: simulation signatures partition nodes into candidate
-//!    equivalence classes, budgeted SAT miters prove or refute each
-//!    candidate pair, and proved pairs are merged onto one representative
-//!    (complemented equivalence via a NOT wrapper). See
-//!    [`crate::satsweep`].
-//! 6. **`regcorr`** — register correspondence: two registers with equal
+//! 5. **`regcorr`** — register correspondence: two registers with equal
 //!    inits whose next functions coincide once one is substituted for the
 //!    other step in lockstep, and are merged into one. Cheapest check
 //!    first: width and init, then a structural comparison, and only for a
 //!    pair that is not structurally equal, simulation traces and a
-//!    budgeted miter ([`SatSweepPass::merge_registers`]). This is what
-//!    closes the paper's Listing-1 counters at k=1.
-//! 7. **`sweep`** — dead-node elimination: the reachable structure is
+//!    budgeted SAT miter (`regcorr.rs`). This is what closes the paper's
+//!    Listing-1 counters at k=1. It runs right before `sweep`, so the
+//!    cones a merge orphans are reclaimed in the same round.
+//! 6. **`sweep`** — dead-node elimination: the reachable structure is
 //!    rebuilt into a fresh arena, compacting away elaboration garbage and
 //!    everything the other stages orphaned; constraints that folded to
 //!    constant true are removed (constant-false ones are kept — they
-//!    constrain the system into vacuity and must keep doing so).
-//!
-//! **Naming note — two "sweep"s.** `sweep` is *arena reclamation*: it
-//! proves nothing and merges nothing, it just copies the reachable
-//! structure into a fresh arena so orphaned nodes stop costing memory.
-//! `satsweep` ([`SatSweepPass`]) is *SAT-sweeping* in the
-//! synthesis-literature sense (fraiging): it proves functional
-//! equivalences with a solver and rewrites uses, which *creates* the
-//! garbage the arena sweep then collects. Both merging stages, `satsweep`
-//! and `regcorr`, run right before sweep so dead cones are reclaimed in
-//! the same round.
+//!    constrain the system into vacuity and must keep doing so). It
+//!    proves and merges nothing.
 //!
 //! All rewrites are verdict-preserving equivalences except `stuck` and
 //! `regcorr`, which install proven invariants (`state == c`, `r == s`)
 //! and can therefore only strengthen induction: a step counterexample in
 //! which two lockstep registers disagree is unreachable, and it is gone.
 //! `opt_differential.rs` checks over the corpus that a verdict only ever
-//! moves from unproven to proven, and `satsweep_differential.rs` that the
-//! combinational stage moves none. Callers opt out entirely with
+//! moves from unproven to proven. Callers opt out entirely with
 //! [`OptLevel::None`], the paper's plain k-induction.
 
 use crate::expr::{BinaryOp, Context, Expr, ExprRef, UnaryOp};
-use crate::satsweep::SatSweepPass;
+use crate::regcorr;
 use crate::ts::TransitionSystem;
 use genfv_obs::Obs;
 use std::collections::{HashMap, HashSet};
@@ -84,18 +69,15 @@ pub enum OptLevel {
     /// counters fail the induction step until a helper lemma says they
     /// are equal, and the differential baseline.
     None,
-    /// Every stage but the combinational SAT-sweep: rewrite, stuck-at,
-    /// rebalance, cone of influence, register correspondence and the
-    /// arena sweep. The default. Register correspondence merges lockstep
-    /// registers, so the paper's Listing-1 counters prove at k=1 without
-    /// a lemma.
+    /// Every stage: rewrite, stuck-at, rebalance, cone of influence,
+    /// register correspondence and the arena sweep. The default. Register
+    /// correspondence merges lockstep registers, so the paper's Listing-1
+    /// counters prove at k=1 without a lemma.
     #[default]
     Full,
-    /// Everything in `Full` plus combinational SAT-sweeping
-    /// (simulation-guided equivalence merging with bounded solver calls).
-    /// More prepare-time work for smaller per-frame CNF on the ECC
-    /// designs; opt-in because the sweep spends real solver effort during
-    /// prepare.
+    /// Runs exactly the `Full` stages; only [`OptStats::level`] and the
+    /// [`salt`](OptLevel::salt) differ. Kept because `e0_ledger` names
+    /// it; delete with the next benchmark change.
     SatSweep,
 }
 
@@ -152,16 +134,15 @@ pub struct OptStats {
     pub coi_dropped_states: u64,
     /// Constraints that folded to constant true and were removed.
     pub constraints_dropped: u64,
-    /// Candidate pairs proved equivalent by the `satsweep` and `regcorr`
-    /// stages (UNSAT miters plus structural register correspondences).
+    /// Register pairs the `regcorr` stage proved equal, structurally or by
+    /// an UNSAT miter.
     pub pairs_proved: u64,
-    /// Candidate pairs refuted by a satisfiable miter (a miter that
-    /// exhausts its conflict budget counts as neither).
+    /// Register pairs refuted by a satisfiable `regcorr` miter (a miter
+    /// that exhausts its conflict budget counts as neither).
     pub pairs_refuted: u64,
-    /// Nodes rewritten onto a class representative, merged registers
-    /// included.
+    /// Registers the `regcorr` stage merged away.
     pub nodes_merged: u64,
-    /// Solver conflicts spent inside `satsweep` and `regcorr` miters.
+    /// Solver conflicts spent inside `regcorr` miters.
     pub sweep_conflicts: u64,
 }
 
@@ -178,10 +159,9 @@ impl OptStats {
     }
 
     /// One-line human summary, used in reports and service logs. The
-    /// `satsweep …` counters (combinational sweep and register
-    /// correspondence together) are appended only when one of the two
-    /// stages proved, refuted or merged something, so a `Full` summary
-    /// carries them exactly on designs with lockstep registers.
+    /// `regcorr …` counters are appended only when register
+    /// correspondence proved, refuted or merged something, so a `Full`
+    /// summary carries them exactly on designs with lockstep registers.
     pub fn summary(&self) -> String {
         let mut line = format!(
             "opt[{:?}] rounds={} nodes {}→{} rewrites={} rebal={} stuck={} coi={}",
@@ -196,7 +176,7 @@ impl OptStats {
         );
         if self.pairs_proved + self.pairs_refuted + self.nodes_merged + self.sweep_conflicts > 0 {
             line.push_str(&format!(
-                " satsweep proved={} refuted={} merged={} conflicts={}",
+                " regcorr proved={} refuted={} merged={} conflicts={}",
                 self.pairs_proved, self.pairs_refuted, self.nodes_merged, self.sweep_conflicts
             ));
         }
@@ -231,39 +211,26 @@ pub fn optimize(
     }
     let _span = obs.span("opt");
     let constraints_before = ts.constraints().len();
-    // One pass value for every round: it carries the CEX vectors learned
-    // from refuted miters into the next round, and the counters of both
-    // of its stages.
-    let mut pass = SatSweepPass::new();
-    let combinational = config.level == OptLevel::SatSweep;
     for _ in 0..MAX_ROUNDS {
         let rewrites = stage(obs, "opt.rewrite", || rewrite(ctx, ts, roots));
         let stuck = stage(obs, "opt.stuck", || stuck_at(ctx, ts, roots));
         let rebalanced = stage(obs, "opt.rebalance", || rebalance(ctx, ts, roots));
         let dropped = stage(obs, "opt.coi", || coi(ctx, ts, roots));
-        let swept = if combinational {
-            stage(obs, "opt.satsweep", || pass.run(ctx, ts, roots, obs))
-        } else {
-            0
-        };
-        let merged = stage(obs, "opt.regcorr", || pass.merge_registers(ctx, ts, roots, obs));
+        let merged = stage(obs, "opt.regcorr", || {
+            regcorr::merge_registers(ctx, ts, roots, regcorr::CONFLICT_BUDGET, &mut stats, obs)
+        });
         stage(obs, "opt.sweep", || sweep(ctx, ts, roots));
         stats.rewrites += rewrites;
         stats.stuck_states += stuck;
         stats.chains_rebalanced += rebalanced;
         stats.coi_dropped_states += dropped;
         stats.rounds += 1;
-        if rewrites + stuck + rebalanced + dropped + swept + merged == 0 {
+        if rewrites + stuck + rebalanced + dropped + merged == 0 {
             break;
         }
     }
     stats.nodes_after = ctx.num_nodes();
     stats.constraints_dropped = constraints_before.saturating_sub(ts.constraints().len()) as u64;
-    let s = pass.stats();
-    stats.pairs_proved = s.pairs_proved;
-    stats.pairs_refuted = s.pairs_refuted;
-    stats.nodes_merged = s.nodes_merged;
-    stats.sweep_conflicts = s.sweep_conflicts;
     stats
 }
 
@@ -278,7 +245,7 @@ fn stage<T>(obs: &Obs, span: &'static str, run: impl FnOnce() -> T) -> T {
 /// Interns `node` into `ctx` through the folding smart constructors, with
 /// each child mapped through `child` first, in operand order. `node` may
 /// come from another arena (the arena sweep copies between two).
-pub(crate) fn rebuild_node(
+fn rebuild_node(
     ctx: &mut Context,
     node: &Expr,
     mut child: impl FnMut(&mut Context, ExprRef) -> ExprRef,
@@ -735,7 +702,7 @@ fn coi(ctx: &Context, ts: &mut TransitionSystem, roots: &[ExprRef]) -> u64 {
     ts.retain_states(|sym| needed.contains(&sym)) as u64
 }
 
-// --- stage 7: sweep / dead-node elimination ---------------------------------
+// --- stage 6: sweep / dead-node elimination ---------------------------------
 
 /// Rebuilds the reachable structure into a fresh arena, dropping dead
 /// nodes and constant-true constraints.
@@ -1141,20 +1108,11 @@ mod tests {
         // ite(~c, a, b) is rewritten in round one; round two fires nothing.
         let nc = ctx.not(c);
         let mux = ctx.ite(nc, a, b);
-        // xor(a, b) vs (a | b) & !(a & b): equivalent, but only a SAT
-        // query can merge them.
-        let x1 = ctx.xor(a, b);
-        let o = ctx.or(a, b);
-        let an = ctx.and(a, b);
-        let nan = ctx.not(an);
-        let x2 = ctx.and(o, nan);
         let mut ts = TransitionSystem::new("trace");
         for s in [a, b, c] {
             ts.add_input(s);
         }
         ts.add_signal("mux", mux);
-        ts.add_signal("x1", x1);
-        ts.add_signal("x2", x2);
         let obs = Obs::new(ObsConfig::Deterministic);
         let mut roots = vec![];
         let config = OptConfig::default().with_level(level);
@@ -1164,27 +1122,24 @@ mod tests {
 
     #[test]
     fn trace_opens_one_span_per_stage_call() {
+        let round =
+            ["opt.rewrite", "opt.stuck", "opt.rebalance", "opt.coi", "opt.regcorr", "opt.sweep"];
+        let (full_events, full_stats, _) = traced_run(OptLevel::Full);
         for level in [OptLevel::Full, OptLevel::SatSweep] {
             let (events, stats, obs) = traced_run(level);
             assert_eq!(stats.rounds, 2, "{level:?}: {stats:?}");
             let begins: Vec<&str> =
                 events.iter().filter(|ev| ev.phase == Phase::Begin).map(|ev| ev.name).collect();
-            let mut round = vec!["opt.rewrite", "opt.stuck", "opt.rebalance", "opt.coi"];
-            if level == OptLevel::SatSweep {
-                round.push("opt.satsweep");
-            }
-            round.extend(["opt.regcorr", "opt.sweep"]);
             let mut expected = vec!["opt"];
             for _ in 0..stats.rounds {
                 expected.extend_from_slice(&round);
             }
             assert_eq!(begins, expected, "{level:?}");
             let pairs = obs.metrics().expect("enabled handle").counter(Counter::SweepPairs);
-            if level == OptLevel::SatSweep {
-                assert!(pairs > 0, "the xor pair costs a sweep query");
-            } else {
-                assert_eq!(pairs, 0);
-            }
+            assert_eq!(pairs, 0, "no register pair, no miter");
+            // `SatSweep` is an alias of `Full`: same trace, same counts.
+            assert_eq!(events, full_events, "{level:?}");
+            assert_eq!(OptStats { level: OptLevel::Full, ..stats }, full_stats, "{level:?}");
         }
         let (events, stats, _) = traced_run(OptLevel::None);
         assert!(events.is_empty(), "None records no events: {events:?}");

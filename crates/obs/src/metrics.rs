@@ -67,9 +67,10 @@ pub enum Counter {
     TemplateClauses,
     /// Portfolio races escalated past the probe.
     Races,
-    /// SAT-sweep equivalence queries issued (proved + refuted + budgeted).
+    /// Register-correspondence miters issued (proved + refuted +
+    /// budgeted out).
     SweepPairs,
-    /// SAT-sweep nodes merged into a class representative.
+    /// Registers merged by register correspondence.
     SweepMerges,
 }
 

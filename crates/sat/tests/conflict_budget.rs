@@ -2,8 +2,9 @@
 //! level: a budgeted query on a hard instance must return `Unknown`
 //! within its budget (never run to completion), and the budget must be
 //! consumed by exactly one solve — the next query runs unbounded and
-//! reaches the real verdict. The SAT-sweep optimizer leans on both
-//! halves of this contract for every miter it poses.
+//! reaches the real verdict. The optimizer's register-correspondence
+//! miters lean on the first half: a hard pair costs a bounded amount of
+//! work and stays unmerged.
 
 use genfv_sat::{Lit, SolveResult, Solver};
 

@@ -219,7 +219,7 @@ pub struct JobReport {
 impl JobReport {
     /// What the prepare-time netlist optimization pipeline did to this
     /// job's design — node counts before/after, per-stage counts (rewrites,
-    /// chains rebalanced, SAT-sweep pairs and merges), states dropped by
+    /// chains rebalanced, register pairs proved and merged), states dropped by
     /// stuck-at folding and cone-of-influence reduction. Shorthand for
     /// `self.flow.opt`.
     pub fn opt(&self) -> &OptStats {

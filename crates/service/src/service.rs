@@ -544,7 +544,8 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Resolves the batch's design (cache or cold prepare) and runs each job
-/// on the shared warm capital.
+/// on the shared warm capital. A prepare that fails, or panics, fails
+/// every job of the batch and leaves the worker serving.
 fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let hash = batch[0].hash;
     let cached = shared.cache.lock().unwrap().get(hash);
@@ -552,7 +553,8 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let entry = match cached {
         Some(entry) => entry,
         None => {
-            let design = match prepare(&batch[0].input, &shared.config.flow.opt) {
+            let prepared = guarded(|| prepare(&batch[0].input, &shared.config.flow.opt));
+            let design = match prepared.and_then(|p| p) {
                 Ok(d) => Arc::new(d),
                 Err(error) => {
                     for job in &batch {
@@ -640,7 +642,7 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
     let design = &entry.design;
 
     let llm = job.llm.as_deref_mut();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = guarded(|| {
         let _job_span = obs.span_with("job", || design.name.clone());
         // Timed inside the `job` span, so the span's own set-up (a fresh
         // trace buffer per job) is not part of `run_time` and a traced
@@ -653,7 +655,7 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
             CorpusMode::Combined => run_combined((**design).clone(), llm.unwrap(), &flow),
         };
         (report, started.elapsed())
-    }));
+    });
 
     match outcome {
         Ok((flow_report, run_time)) => {
@@ -685,19 +687,25 @@ fn run_job(shared: &Shared, mut job: Job, entry: &CacheEntry, batched: bool, cac
             };
             let _ = job.tx.send(JobEvent::Done { job: job.id, report: Box::new(report) });
         }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "flow panicked".to_string());
+        Err(error) => {
             shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = job.tx.send(JobEvent::Failed {
-                job: job.id,
-                error: ServiceError::WorkerLost { message }.into(),
-            });
+            let _ = job.tx.send(JobEvent::Failed { job: job.id, error });
         }
     }
+}
+
+/// The worker's panic guard: runs `work` and turns a panic into a
+/// [`ServiceError::WorkerLost`] carrying the panic message, so one bad job
+/// fails on its own and the worker goes on to the next.
+fn guarded<T>(work: impl FnOnce() -> T) -> Result<T, Error> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "job panicked".to_string());
+        ServiceError::WorkerLost { message }.into()
+    })
 }
 
 #[cfg(test)]
@@ -829,6 +837,73 @@ endmodule
         svc.run_inline();
         let err = handle.wait().unwrap_err();
         assert!(matches!(&err, Error::Parse { design, .. } if design == "broken"), "{err}");
+        assert_eq!(svc.stats().failed, 1);
+    }
+
+    #[test]
+    fn failed_prepares_answer_their_jobs_and_the_worker_serves_on() {
+        // One worker, three jobs: a zero-width literal (a typed parse
+        // error), a concatenation wider than `BitVecValue::MAX_WIDTH`
+        // (rejected deep in the IR, which panics), and a good job. Each
+        // gets its answer, and the good one still runs.
+        let svc = VerificationService::build(ServiceConfig::default().with_batching(false), false);
+        let bad = |name: &str, rtl: String| {
+            let input = DesignInput::Source {
+                name: name.into(),
+                rtl,
+                spec: String::new(),
+                targets: vec![("t".into(), "c == c".into())],
+            };
+            svc.submit(baseline(input)).unwrap()
+        };
+        let literal = bad("zero_width", RTL.replace("8'd1", "0'b1"));
+        let wide = bad("too_wide", RTL.replace("c + 8'd1", "{1048576'd0, 1'b0}"));
+        let good = svc.submit(baseline(source("good", "c == c"))).unwrap();
+        {
+            svc.shared.queue.lock().unwrap().closed = true;
+        }
+        svc.run_inline();
+        let err = literal.wait().unwrap_err();
+        assert!(matches!(&err, Error::Parse { design, .. } if design == "zero_width"), "{err}");
+        let err = wide.wait().unwrap_err();
+        assert!(
+            matches!(err, Error::Service(ServiceError::WorkerLost { .. }) | Error::Design { .. }),
+            "{err}"
+        );
+        assert!(good.wait().unwrap().flow.all_proven());
+        assert_eq!(svc.stats().failed, 2);
+    }
+
+    #[test]
+    fn panicking_model_fails_its_job_and_leaves_the_cache_serving() {
+        struct Crashing;
+        impl genfv_genai::LanguageModel for Crashing {
+            fn name(&self) -> &str {
+                "crashing"
+            }
+            fn complete(&mut self, _prompt: &genfv_genai::Prompt) -> genfv_genai::Completion {
+                panic!("model crashed")
+            }
+        }
+        let svc = VerificationService::build(ServiceConfig::default().with_batching(false), false);
+        let request = JobRequest::new(source("same", "c == c"))
+            .with_mode(CorpusMode::Flow1)
+            .with_llm(Crashing);
+        let crashed = svc.submit(request).unwrap();
+        let next = svc.submit(baseline(source("same", "c == c"))).unwrap();
+        {
+            svc.shared.queue.lock().unwrap().closed = true;
+        }
+        svc.run_inline();
+        let err = crashed.wait().unwrap_err();
+        assert!(
+            matches!(&err, Error::Service(ServiceError::WorkerLost { message })
+                if message.contains("model crashed")),
+            "{err}"
+        );
+        let report = next.wait().unwrap();
+        assert!(report.cache_hit, "the crashed job's prepare stays cached");
+        assert!(report.flow.all_proven());
         assert_eq!(svc.stats().failed, 1);
     }
 

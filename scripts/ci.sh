@@ -4,7 +4,7 @@
 # warning, e.g. a doc link to a deleted or private item, is an error) are
 # pinned so style drift cannot accumulate. The differential suites in
 # `cargo test` carry every verdict gate (engine, portfolio, unroll-mode,
-# service and opt/satsweep equivalence). The e0_ledger benchmark is its
+# service and opt equivalence). The e0_ledger benchmark is its
 # own Cargo package; its tests (unit tests plus a smoke run of every
 # workload) keep it building against the library crates. e1 runs the paper's example end
 # to end and exits nonzero on any regression in it; e2–e7 print the

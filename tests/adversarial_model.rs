@@ -31,9 +31,11 @@ impl LanguageModel for AdversarialModel {
                  property p2; count1 < 8'd3; endproperty\n"
             }
             1 => {
-                // Phantom signals and width abuse.
+                // Phantom signals and width abuse (a literal no value can
+                // have never parses: the lexer rejects size 0).
                 "property p3; count1 == shadow_reg; endproperty\n\
-                 property p4; not_a_signal[99] == 1'b1; endproperty\n"
+                 property p4; not_a_signal[99] == 1'b1; endproperty\n\
+                 property p4z; count1 == 0'b1; endproperty\n"
             }
             2 => {
                 // Syntactic garbage.
