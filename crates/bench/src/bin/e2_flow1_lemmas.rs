@@ -2,8 +2,8 @@
 //! from specification + RTL, across the full corpus.
 //!
 //! For every design the table shows the target outcomes without any help
-//! and with Flow-1 lemmas, plus what the LLM emitted and how much of it
-//! survived validation.
+//! and with Flow-1 lemmas, how many LLM calls Flow 1 made, and what the
+//! LLM emitted and how much of it survived validation.
 
 use genfv_bench::{experiment_config, ms, outcome_cell, plain_prepare, total_rejected};
 use genfv_core::{run_baseline, run_flow1, Table};
@@ -16,6 +16,7 @@ fn main() {
         "target",
         "baseline",
         "flow1 (gpt-4-turbo)",
+        "llm calls",
         "lemmas",
         "rejected",
         "proof time",
@@ -34,6 +35,7 @@ fn main() {
                 b.name.clone(),
                 outcome_cell(&b.outcome),
                 outcome_cell(&f.outcome),
+                flow1.metrics.llm_calls.to_string(),
                 flow1.metrics.lemmas_accepted.to_string(),
                 total_rejected(&flow1).to_string(),
                 ms(flow1.metrics.proof_time),
@@ -45,8 +47,9 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Expected shape: every `step fails` baseline becomes `proven k=1` once the\n\
-         Flow-1 lemmas are assumed; designs that already proved unaided stay proven\n\
-         (often at lower k). The LLM emits junk too — the `rejected` column is the\n\
+         Flow-1 lemmas are assumed. Designs that prove unaided make no LLM call and\n\
+         keep the baseline's verdict and depth: Flow 1 consults the model only where\n\
+         the proof needs it. The LLM emits junk too — the `rejected` column is the\n\
          validation layer earning its keep."
     );
 }

@@ -225,8 +225,10 @@ endmodule
 
     /// Widths no value can have are typed errors, never panics: sized
     /// literals of size 0 or past `BitVecValue::MAX_WIDTH` (RTL and SVA
-    /// alike), and declared ranges past it, including a parameter whose
-    /// `[W:0]` range used to wrap to width 0.
+    /// alike), declared ranges past it, including a parameter whose
+    /// `[W:0]` range used to wrap to width 0, and concatenations and
+    /// replications wider than it (the replication count alone does not
+    /// bound the width: `{3000{512'h0}}` is 1,536,000 bits).
     #[test]
     fn hostile_widths_are_typed_errors() {
         let target = |sva: &str| vec![("t".to_string(), sva.to_string())];
@@ -238,13 +240,21 @@ endmodule
             RTL.replace("[7:0] c", "[2000000:0] c"),
             RTL.replace("module counter (", "module counter #(parameter W = 4294967295) (")
                 .replace("[7:0] c", "[W:0] c"),
+            RTL.replace("c <= c + 8'd1;", "c <= {1048576'd0, 1'b0};"),
+            RTL.replace("c <= c + 8'd1;", "c <= {3000{512'h0}};"),
         ];
         for rtl in &rtl_cases {
             let err = PreparedDesign::new("hostile", rtl.as_str(), "s", &target("c == c"))
                 .expect_err(rtl);
             assert!(matches!(err, Error::Parse { .. } | Error::Design { .. }), "{err}");
         }
-        for sva in ["c == 0'b1", "c == 2000000'd1", "$onehot(0'b0)"] {
+        for sva in [
+            "c == 0'b1",
+            "c == 2000000'd1",
+            "$onehot(0'b0)",
+            "{1048576'd0, 1'b0} == c",
+            "{3000{512'h0}} == c",
+        ] {
             let err = PreparedDesign::new("counter", RTL, "s", &target(sva)).expect_err(sva);
             assert!(matches!(err, Error::Compile { .. }), "{sva}: {err}");
         }

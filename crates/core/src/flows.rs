@@ -9,6 +9,12 @@
 //! * [`run_combined`]: Flow 1's upfront lemmas, then Flow 2's repair loop.
 //! * [`run_baseline`]: plain k-induction, no LLM.
 //!
+//! Every GenAI flow consults the model only where the proof needs it.
+//! Flow 2 asks only on an induction-step failure; Flow 1 and Combined
+//! first prove every target unaided, exactly as [`run_baseline`] does, and
+//! when each one is proven or falsified they report those outcomes with
+//! no LLM call. Otherwise they run Fig. 1 as before, over all targets.
+//!
 //! Each flow is a short composition of stage calls on one private run
 //! state (configuration, event tag, accepted lemmas, [`FlowMetrics`] and
 //! event log); the design travels beside it, because proof sessions
@@ -16,9 +22,9 @@
 //!
 //! | flow | stages |
 //! |---|---|
-//! | [`run_flow1`] | `mine_upfront`, then `prove_targets` |
+//! | [`run_flow1`] | `prove_unaided`; if a target is open, `mine_upfront`, then `prove_targets` |
 //! | [`run_flow2`] | `repair_targets` |
-//! | [`run_combined`] | `mine_upfront`, then `repair_targets` |
+//! | [`run_combined`] | `prove_unaided`; if a target is open, `mine_upfront`, then `repair_targets` |
 //! | [`run_baseline`] | `prove_targets` |
 //!
 //! Underneath them, `consult` is the one place an LLM round trip happens
@@ -323,6 +329,32 @@ impl<'a> Run<'a> {
         self.lemmas.iter().map(|l| l.expr).collect()
     }
 
+    /// The default proof before any model call: `prove_targets` on the
+    /// design as given, with no lemmas, exactly as [`run_baseline`] runs
+    /// it. Returns the reports when every target is proven or falsified,
+    /// so the flow settles without the model; otherwise `None`. Either
+    /// way one event line says whether the model is consulted, and for
+    /// which open targets.
+    fn prove_unaided(&mut self, design: &PreparedDesign) -> Option<Vec<TargetReport>> {
+        let reports = self.prove_targets(design);
+        let open: Vec<String> = reports
+            .iter()
+            .filter(|r| {
+                !matches!(r.outcome, TargetOutcome::Proven { .. } | TargetOutcome::Falsified { .. })
+            })
+            .map(|r| format!("`{}`", r.name))
+            .collect();
+        if open.is_empty() {
+            self.log("every target settled unaided; the model is not consulted".to_string());
+            return Some(reports);
+        }
+        self.log(format!(
+            "open after the unaided proof: {}; consulting the model",
+            open.join(", ")
+        ));
+        None
+    }
+
     /// Paper Fig. 1's upfront phase: one prompt from the specification,
     /// the RTL and the targets; what validates becomes a lemma.
     fn mine_upfront(&mut self, design: &mut PreparedDesign, llm: &mut dyn LanguageModel) {
@@ -589,6 +621,12 @@ impl<'a> Run<'a> {
 
 /// Runs the paper's Flow 1 (Fig. 1): upfront helper-assertion generation
 /// from specification + RTL, then target proofs with the accepted lemmas.
+///
+/// The model is consulted only where the proof needs it: every target is
+/// first proven unaided, as [`run_baseline`] proves it, and if each one is
+/// proven or falsified those outcomes are the report, with no LLM call.
+/// Otherwise the Fig. 1 prompt covers all targets and every target is
+/// proven again under the accepted lemmas.
 pub fn run_flow1(
     mut design: PreparedDesign,
     llm: &mut dyn LanguageModel,
@@ -596,8 +634,10 @@ pub fn run_flow1(
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.flow1", || design.name.clone());
     let mut run = Run::new(config, "flow1");
-    run.mine_upfront(&mut design, llm);
-    let targets = run.prove_targets(&design);
+    let targets = run.prove_unaided(&design).unwrap_or_else(|| {
+        run.mine_upfront(&mut design, llm);
+        run.prove_targets(&design)
+    });
     run.report(&design, llm.name(), targets)
 }
 
@@ -619,6 +659,9 @@ pub fn run_flow2(
 /// specification and RTL, then Flow 2's CEX-driven repair loop handles any
 /// target that still fails its induction step. The returned report carries
 /// the union of accepted lemmas and the merged metrics.
+///
+/// Like [`run_flow1`], it first proves every target unaided and makes no
+/// LLM call when each one is proven or falsified.
 pub fn run_combined(
     mut design: PreparedDesign,
     llm: &mut dyn LanguageModel,
@@ -626,8 +669,10 @@ pub fn run_combined(
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.combined", || design.name.clone());
     let mut run = Run::new(config, "combined");
-    run.mine_upfront(&mut design, llm);
-    let targets = run.repair_targets(&mut design, llm);
+    let targets = run.prove_unaided(&design).unwrap_or_else(|| {
+        run.mine_upfront(&mut design, llm);
+        run.repair_targets(&mut design, llm)
+    });
     run.report(&design, llm.name(), targets)
 }
 

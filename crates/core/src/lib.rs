@@ -15,8 +15,15 @@
 //!   comparisons. On a design prepared at [`OptLevel::None`] it is the
 //!   paper's plain k-induction. The default prepare ([`OptLevel::Full`])
 //!   first merges lockstep registers by register correspondence, which
-//!   already proves the paper's Listing-1 counters at k=1, so Flow 2
-//!   asks the LLM only where that structural invariant is not enough.
+//!   already proves the paper's Listing-1 counters at k=1.
+//!
+//! Every GenAI flow asks the LLM only where the proof needs it. Flow 2
+//! prompts on an induction-step failure. Flow 1 and Combined first prove
+//! every target unaided, as [`run_baseline`] does; when each target is
+//! proven or falsified they report exactly those outcomes with no LLM
+//! call, and otherwise run Fig. 1 over all targets. At the default prepare
+//! 16 of the 21 corpus designs settle unaided, so only the other five
+//! consult the model.
 //!
 //! Each flow is a short composition of private stages on one run state
 //! (see the [`flows`] module docs for which flow calls which stage).

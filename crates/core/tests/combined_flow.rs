@@ -2,7 +2,7 @@
 //! to generate general helper assertions as well as for induction step
 //! failure").
 
-use genfv_core::{run_combined, FlowConfig, PreparedDesign, TargetOutcome};
+use genfv_core::{run_combined, FlowConfig, OptConfig, OptLevel, PreparedDesign, TargetOutcome};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 
 const SYNC: &str = r#"
@@ -19,12 +19,17 @@ module sync_counters (input clk, rst, output logic [15:0] count1, count2);
 endmodule
 "#;
 
+/// The lockstep counters under the paper's plain k-induction
+/// (`OptLevel::None`), where the target needs a lemma: at the default
+/// prepare register correspondence proves it at k=1, and the combined
+/// flow settles it without consulting the model.
 fn design() -> PreparedDesign {
-    PreparedDesign::new(
+    PreparedDesign::with_opt(
         "sync_counters",
         SYNC,
         "Two synchronized counters in lockstep, always equal.",
         &[("equal_count".to_string(), "&count1 |-> &count2".to_string())],
+        &OptConfig::default().with_level(OptLevel::None),
     )
     .unwrap()
 }

@@ -9,8 +9,13 @@
 //! the lockstep designs; `default_prepare_closes_exactly_the_lockstep_designs`
 //! pins which ones, so the LLM's share is measured beyond it.
 
-use genfv_core::{run_baseline, run_flow2, FlowConfig, OptConfig, OptLevel, TargetOutcome};
-use genfv_designs::{all_designs, by_name, lemma_hungry_designs, DesignBundle, Expectation};
+use genfv_core::{
+    run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowReport, OptConfig, OptLevel,
+    TargetOutcome,
+};
+use genfv_designs::{
+    all_designs, by_name, datapath_designs, lemma_hungry_designs, DesignBundle, Expectation,
+};
 use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::CheckConfig;
 
@@ -188,4 +193,68 @@ fn flow2_installs_a_repeated_lemma_once() {
     assert_eq!((report.metrics.llm_calls, report.metrics.iterations), (4, 4));
     let skipped = report.events.iter().filter(|e| e.contains("already installed")).count();
     assert_eq!(skipped, 2, "{:#?}", report.events);
+}
+
+/// Flow 1 and Combined consult the model only where the proof needs it.
+/// At the default prepare, a design whose targets `run_baseline` all
+/// proves or falsifies gets exactly the baseline's outcomes, depths
+/// included, with no LLM call and no lemma; the seeded bug in
+/// `desync_counters` is reported, never "repaired". The five designs the
+/// default proof leaves open consult the model.
+#[test]
+fn flow1_and_combined_consult_the_model_only_where_the_proof_needs_it() {
+    const OPEN: [&str; 5] =
+        ["offset_counters", "modn_counter", "ecc_counter", "fifo_counters", "credit_flow"];
+    const LOCKSTEP: [&str; 3] = ["sync_counters", "sync_counters_16", "twin_shift"];
+    let outcomes = |r: &FlowReport| -> Vec<(String, String)> {
+        r.targets.iter().map(|t| (t.name.clone(), format!("{:?}", t.outcome))).collect()
+    };
+    let config = FlowConfig::default();
+    let mut open = Vec::new();
+    for d in all_designs().into_iter().chain(datapath_designs()) {
+        let prepared = d.prepare().unwrap();
+        let baseline = run_baseline(&prepared, &config);
+        let settled = baseline.targets.iter().all(|t| {
+            matches!(t.outcome, TargetOutcome::Proven { .. } | TargetOutcome::Falsified { .. })
+        });
+        if !settled {
+            open.push(d.name);
+        }
+        let llm = || SyntheticLlm::new(ModelProfile::GptFourTurbo, 0);
+        let flow1 = run_flow1(prepared.clone(), &mut llm(), &config);
+        let combined = run_combined(prepared.clone(), &mut llm(), &config);
+        for report in [&flow1, &combined] {
+            let m = &report.metrics;
+            if settled {
+                assert_eq!(m.llm_calls, 0, "{}: settled unaided:\n{:#?}", d.name, report.events);
+                assert!(report.lemmas.is_empty(), "{}", d.name);
+                assert_eq!(outcomes(report), outcomes(&baseline), "{}", d.name);
+            } else {
+                assert!(
+                    m.llm_calls >= 1,
+                    "{}: open targets consult:\n{:#?}",
+                    d.name,
+                    report.events
+                );
+            }
+            if d.name == "desync_counters" {
+                assert!(
+                    matches!(report.targets[0].outcome, TargetOutcome::Falsified { .. }),
+                    "{}",
+                    genfv_core::summarize_targets(report)
+                );
+            }
+            if LOCKSTEP.contains(&d.name) {
+                for t in &report.targets {
+                    assert!(
+                        matches!(t.outcome, TargetOutcome::Proven { k: 1, lemmas_used: 0 }),
+                        "{}: {:?}",
+                        d.name,
+                        t.outcome
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(open, OPEN);
 }

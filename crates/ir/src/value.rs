@@ -133,11 +133,25 @@ impl BitVecValue {
         if digits.is_empty() {
             return None;
         }
+        // One multiply-by-10-and-add pass per digit, over the words that
+        // hold the value so far (the ones above are still zero). Carries
+        // out of the top word drop, and the top word is masked at the
+        // end: the result is the same modulo 2^width.
         let mut v = Self::zero(width);
-        let ten = Self::from_u64(10, width);
+        let mut used = 0;
         for d in digits {
-            v = v.mul(&ten).add(&Self::from_u64(d as u64, width));
+            let mut carry = u128::from(d);
+            for w in &mut v.words[..used] {
+                let x = u128::from(*w) * 10 + carry;
+                *w = x as u64;
+                carry = x >> 64;
+            }
+            if carry != 0 && used < v.words.len() {
+                v.words[used] = carry as u64;
+                used += 1;
+            }
         }
+        v.mask_top();
         Some(v)
     }
 
@@ -292,14 +306,21 @@ impl BitVecValue {
     /// Truncating multiplication. # Panics Panics on width mismatch.
     pub fn mul(&self, rhs: &Self) -> Self {
         self.assert_same_width(rhs, "mul");
+        // The truncated product commutes, so the outer loop walks the
+        // operand with fewer nonzero words and skips its zero words (they
+        // add nothing): a wide value times a small one is linear.
+        let nonzero = |v: &Self| v.words.iter().filter(|&&w| w != 0).count();
+        let (a, b) = if nonzero(self) <= nonzero(rhs) { (self, rhs) } else { (rhs, self) };
         let n = self.words.len();
         let mut acc = vec![0u64; n];
         for i in 0..n {
+            if a.words[i] == 0 {
+                continue;
+            }
             let mut carry = 0u128;
             for j in 0..(n - i) {
                 let idx = i + j;
-                let prod =
-                    (self.words[i] as u128) * (rhs.words[j] as u128) + (acc[idx] as u128) + carry;
+                let prod = (a.words[i] as u128) * (b.words[j] as u128) + (acc[idx] as u128) + carry;
                 acc[idx] = prod as u64;
                 carry = prod >> 64;
             }
@@ -736,6 +757,51 @@ mod tests {
                 .to_u64(),
             Some(1)
         );
+    }
+
+    /// The fold `from_decimal_str` used to run: one full-width multiply
+    /// and add per digit. The reference for the linear parse.
+    fn decimal_fold(s: &str, width: u32) -> Option<BitVecValue> {
+        let digits: Vec<u32> =
+            s.chars().filter(|c| *c != '_').map(|c| c.to_digit(10)).collect::<Option<Vec<_>>>()?;
+        if digits.is_empty() {
+            return None;
+        }
+        let mut v = BitVecValue::zero(width);
+        let ten = BitVecValue::from_u64(10, width);
+        for d in digits {
+            v = v.mul(&ten).add(&BitVecValue::from_u64(d as u64, width));
+        }
+        Some(v)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The linear decimal parse equals the per-digit fold on every
+        /// width from 1 to 300, on literals short and long enough to
+        /// wrap, with `_` separators and stray characters.
+        #[test]
+        fn decimal_parse_matches_the_fold(
+            width in 1u32..=300,
+            s in "[0-9_]{0,120}",
+            bad in proptest::prelude::any::<bool>(),
+        ) {
+            let s = if bad { format!("{s}x") } else { s };
+            proptest::prop_assert_eq!(BitVecValue::from_decimal_str(&s, width), decimal_fold(&s, width));
+        }
+
+        /// `mul` walks the sparser operand: either order gives the same
+        /// product, and multiplying by 3 equals adding three times.
+        #[test]
+        fn mul_is_order_free(width in 1u32..=300, a in "[0-9]{1,90}", b in "[0-9]{1,90}") {
+            let a = BitVecValue::from_decimal_str(&a, width).unwrap();
+            let b = BitVecValue::from_decimal_str(&b, width).unwrap();
+            proptest::prop_assert_eq!(a.mul(&b), b.mul(&a));
+            let three = BitVecValue::from_u64(3, width);
+            proptest::prop_assert_eq!(a.mul(&three), a.add(&a).add(&a));
+            proptest::prop_assert_eq!(three.mul(&a), a.add(&a).add(&a));
+        }
     }
 
     #[test]

@@ -885,12 +885,19 @@ endmodule
                 panic!("model crashed")
             }
         }
+        // A decade counter: `c != 15` holds but is not inductive alone, so
+        // the default proof leaves it open and Flow 1 consults the model.
+        let decade = || DesignInput::Source {
+            name: "decade".into(),
+            rtl: RTL.replace("else c <=", "else if (c == 8'd9) c <= '0;\n    else c <="),
+            spec: "a decade counter: counts 0 through 9 and wraps to 0".into(),
+            targets: vec![("t".into(), "c != 8'd15".into())],
+        };
+        let flow1 = || JobRequest::new(decade()).with_mode(CorpusMode::Flow1);
         let svc = VerificationService::build(ServiceConfig::default().with_batching(false), false);
-        let request = JobRequest::new(source("same", "c == c"))
-            .with_mode(CorpusMode::Flow1)
-            .with_llm(Crashing);
-        let crashed = svc.submit(request).unwrap();
-        let next = svc.submit(baseline(source("same", "c == c"))).unwrap();
+        let crashed = svc.submit(flow1().with_llm(Crashing)).unwrap();
+        let model = genfv_genai::SyntheticLlm::new(genfv_genai::ModelProfile::GptFourTurbo, 0);
+        let next = svc.submit(flow1().with_llm(model)).unwrap();
         {
             svc.shared.queue.lock().unwrap().closed = true;
         }

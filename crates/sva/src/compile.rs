@@ -343,8 +343,11 @@ impl<'a> PropertyCompiler<'a> {
             }
             Expr::Concat(parts) => {
                 let mut acc: Option<ExprRef> = None;
+                let mut width = 0u64;
                 for p in parts {
                     let x = self.bind(p, None)?;
+                    width += u64::from(self.ctx.width_of(x));
+                    check_concat_width(width)?;
                     acc = Some(match acc {
                         None => x,
                         Some(a) => self.ctx.concat(a, x),
@@ -358,6 +361,7 @@ impl<'a> PropertyCompiler<'a> {
                     return Err(CompileError::new(format!("bad replication count {n}")));
                 }
                 let x = self.bind(inner, None)?;
+                check_concat_width(n * u64::from(self.ctx.width_of(x)))?;
                 let mut acc = x;
                 for _ in 1..n {
                     acc = self.ctx.concat(acc, x);
@@ -474,6 +478,18 @@ impl<'a> PropertyCompiler<'a> {
             ))),
         }
     }
+}
+
+/// A concatenation or replication `width` bits wide is an error past
+/// [`BitVecValue::MAX_WIDTH`], checked before any of it is built.
+fn check_concat_width(width: u64) -> Result<(), CompileError> {
+    if width > u64::from(BitVecValue::MAX_WIDTH) {
+        return Err(CompileError::new(format!(
+            "concatenation is {width} bits wide, more than {}",
+            BitVecValue::MAX_WIDTH
+        )));
+    }
+    Ok(())
 }
 
 fn resize(v: BitVecValue, width: u32) -> BitVecValue {

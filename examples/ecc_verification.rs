@@ -1,7 +1,9 @@
 //! ECC verification scenario (the paper's second design family).
 //!
 //! Exercises both flows on the ECC corpus: Flow 1 generates lemmas from
-//! spec + RTL upfront; Flow 2 reacts to induction failures. The
+//! spec + RTL upfront; Flow 2 reacts to induction failures. Both consult
+//! the model only where the proof needs it: the three pipelines prove
+//! unaided, so their flows print no lemma and make no LLM call. The
 //! recirculating `ecc_counter` mirrors the paper's counters example in the
 //! ECC domain: its lockstep property fails induction at every depth until
 //! the redundancy lemma `dec_out == count` is proven and assumed.

@@ -32,10 +32,12 @@ impl LanguageModel for AdversarialModel {
             }
             1 => {
                 // Phantom signals and width abuse (a literal no value can
-                // have never parses: the lexer rejects size 0).
+                // have never parses: the lexer rejects size 0; a
+                // concatenation wider than any value is a compile error).
                 "property p3; count1 == shadow_reg; endproperty\n\
                  property p4; not_a_signal[99] == 1'b1; endproperty\n\
-                 property p4z; count1 == 0'b1; endproperty\n"
+                 property p4z; count1 == 0'b1; endproperty\n\
+                 property p4w; {1048576'd0, 1'b0} == count1; endproperty\n"
             }
             2 => {
                 // Syntactic garbage.
@@ -128,6 +130,11 @@ fn adversary_cannot_install_false_lemmas() {
     // The junk was counted, not silently dropped.
     let m = &report.metrics;
     assert!(m.rejected_compile > 0, "phantom signals must be rejected: {m:?}");
+    assert!(
+        report.events.iter().any(|e| e.contains("p4w: compile rejected")),
+        "an over-wide concatenation is a compile rejection: {:#?}",
+        report.events
+    );
     assert!(m.rejected_false > 0, "false invariants must be disproven: {m:?}");
     assert!(m.candidates_unparseable > 0, "syntax errors must be counted: {m:?}");
 }
