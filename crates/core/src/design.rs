@@ -258,6 +258,74 @@ endmodule
             let err = PreparedDesign::new("counter", RTL, "s", &target(sva)).expect_err(sva);
             assert!(matches!(err, Error::Compile { .. }), "{sva}: {err}");
         }
+        // One shared lowering, so each input below fails the same way as
+        // an RTL right-hand side and inside a target: `$clog2` with a bad
+        // argument count, constants past 32 bits (never narrowed to their
+        // low bits: `c[4294967296]` is not `c[0]`), and digit strings
+        // wider than `MAX_WIDTH` bits.
+        let long_hex = format!("8'h{}", "0".repeat(262_145));
+        let long_bin = format!("8'b{}", "0".repeat(1_048_577));
+        let shared = [
+            "$clog2()",
+            "$clog2(4, 5)",
+            "c[4294967296]",
+            "c[4294967303:4294967296]",
+            "c[33'd4294967296]",
+            "$past(c, 4294967297)",
+            long_hex.as_str(),
+            long_bin.as_str(),
+        ];
+        for e in shared {
+            let rtl = RTL.replace("c <= c + 8'd1;", &format!("c <= c + {e};"));
+            let err = PreparedDesign::new("hostile", rtl.as_str(), "s", &target("c == c"))
+                .expect_err(&rtl[..rtl.len().min(200)]);
+            assert!(matches!(err, Error::Design { .. }), "{err}");
+            let sva = format!("c == {e}");
+            let err = PreparedDesign::new("counter", RTL, "s", &target(&sva)).expect_err(e);
+            assert!(matches!(err, Error::Compile { .. }), "{err}");
+        }
+    }
+
+    /// An expression means the same as an RTL right-hand side and inside
+    /// a target: with `assign w = E;`, the target `w == (E)` holds, so it
+    /// proves at k=1. The inputs cover octal literals and the system
+    /// functions RTL and targets share.
+    #[test]
+    fn rtl_and_targets_share_one_lowering() {
+        let with_w = |e: &str| {
+            RTL.replace("output logic [7:0] c);", "output logic [7:0] c, w);")
+                .replace("endmodule", &format!("  assign w = {e};\nendmodule"))
+        };
+        for e in [
+            "8'o377",
+            "$unsigned(c)",
+            "$signed(c)",
+            "$clog2(256)",
+            "{c[3:0], c[7:4]}",
+            "{2{c[3:0]}}",
+            "c[6:2]",
+            "'1",
+        ] {
+            let t = vec![("same".to_string(), format!("w == ({e})"))];
+            let d = PreparedDesign::new("shared", with_w(e), "s", &t)
+                .unwrap_or_else(|err| panic!("{e}: {err}"));
+            let report = crate::flows::run_baseline(&d, &crate::FlowConfig::default());
+            assert!(
+                matches!(report.targets[0].outcome, crate::TargetOutcome::Proven { k: 1, .. }),
+                "{e}: {:?}",
+                report.targets[0].outcome
+            );
+        }
+        let err = PreparedDesign::new("past", with_w("$past(c)"), "s", &[]).unwrap_err();
+        let rtl_only = "system function `$past` is not supported in RTL (SVA-only functions \
+                        like $past belong in assertions)";
+        assert!(err.to_string().contains(rtl_only), "{err}");
+        let t = vec![("foo".to_string(), "$foo(c) == c".to_string())];
+        let err = PreparedDesign::new("counter", RTL, "s", &t).unwrap_err();
+        assert!(
+            err.to_string().contains("system function `$foo` is not supported in assertions"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! boosted, mirroring how the paper's Fig.-2 flow uses the failure.
 
 use crate::prompt::PromptSections;
-use genfv_hdl::{elaborate, parse_source};
+use genfv_hdl::lower::literal;
+use genfv_hdl::{elaborate, lex, parse_source, Tok, Token};
 use genfv_ir::{evaluate, BitVecValue, Context, Env, ExprRef, Simulator, TransitionSystem};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -121,27 +122,15 @@ impl fmt::Display for MineError {
 
 impl Error for MineError {}
 
-/// Parses a Verilog-style literal (`8'hff`, `8'd200`, `4'b1010`, `42`).
+/// Parses a Verilog-style literal (`8'hff`, `8'd200`, `4'b1010`, `42`)
+/// with the RTL's lexer and literal sizing; a plain decimal is 64 bits
+/// wide. Anything else, including a size no value can have, is `None`.
 pub fn parse_verilog_literal(s: &str) -> Option<BitVecValue> {
-    let s = s.trim();
-    if let Some((size, rest)) = s.split_once('\'') {
-        let width: u32 = size.trim().parse().ok()?;
-        let (base, digits) = rest.split_at(1);
-        let raw = match base {
-            "h" | "H" => BitVecValue::from_hex_str(digits)?,
-            "b" | "B" => BitVecValue::from_binary_str(digits)?,
-            "d" | "D" => BitVecValue::from_decimal_str(digits, width.max(1))?,
-            _ => return None,
-        };
-        Some(if raw.width() == width {
-            raw
-        } else if raw.width() > width {
-            raw.extract(width - 1, 0)
-        } else {
-            raw.zext(width)
-        })
-    } else {
-        BitVecValue::from_decimal_str(s, 64)
+    match lex(s).ok()?.as_slice() {
+        [Token { tok: Tok::Number { size, base, digits }, .. }, Token { tok: Tok::Eof, .. }] => {
+            literal(*size, *base, digits, (*base == 'i').then_some(64)).ok()
+        }
+        _ => None,
     }
 }
 
@@ -237,21 +226,11 @@ fn cex_env(ctx: &Context, ts: &TransitionSystem, values: &BTreeMap<String, Strin
         let v = values
             .get(&name)
             .and_then(|s| parse_verilog_literal(s))
-            .map(|v| fit_value(v, w))
+            .map(|v| v.resize(w))
             .unwrap_or_else(|| BitVecValue::zero(w));
         env.insert(sym, v);
     }
     Some(env)
-}
-
-fn fit_value(v: BitVecValue, width: u32) -> BitVecValue {
-    if v.width() == width {
-        v
-    } else if v.width() > width {
-        v.extract(width - 1, 0)
-    } else {
-        v.zext(width)
-    }
 }
 
 struct Miner<'a> {
@@ -836,6 +815,12 @@ endmodule
         assert_eq!(parse_verilog_literal("42").unwrap().to_u64(), Some(42));
         assert_eq!(parse_verilog_literal("12'hfff").unwrap().width(), 12);
         assert!(parse_verilog_literal("8'xzz").is_none());
+        assert_eq!(parse_verilog_literal("8'o377").unwrap().to_u64(), Some(255));
+        assert_eq!(parse_verilog_literal("18446744073709551615").unwrap().width(), 64);
+        // Sizes no value can have: 0 and past `BitVecValue::MAX_WIDTH`.
+        for hostile in ["0'h1", "4294967295'd1", "2000000'h1"] {
+            assert!(parse_verilog_literal(hostile).is_none(), "{hostile}");
+        }
     }
 
     #[test]

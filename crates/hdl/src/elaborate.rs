@@ -1,13 +1,15 @@
 //! Elaboration: lowering a parsed [`Module`] to a [`TransitionSystem`].
 //!
-//! The elaborator resolves parameters, infers widths with Verilog-style
-//! context rules (operands extended to the widest, right-hand sides fitted
-//! to assignment targets), symbolically executes procedural blocks, and
+//! The elaborator resolves parameters, lowers expressions through the
+//! shared [`crate::lower`] (its [`Scope`] resolves nets, parameters and
+//! `always_comb` overlays; right-hand sides are fitted to assignment
+//! targets), symbolically executes procedural blocks, and
 //! derives initial-state values by evaluating each register's next-state
 //! function under an asserted reset.
 
 use crate::ast::*;
 use crate::lexer::Pos;
+use crate::lower::{const_u64, const_value, fit, lower_bool, lower_expr, to_bool, Scope};
 use genfv_ir::{BitVecValue, Context, ExprRef, TransitionSystem};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::error::Error;
@@ -23,7 +25,7 @@ pub struct ElabError {
 }
 
 impl ElabError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         ElabError { pos: None, message: message.into() }
     }
 
@@ -234,14 +236,14 @@ impl<'a> Elaborator<'a> {
         for (name, value) in &header {
             let v = match overrides.get(name.as_str()) {
                 Some(&o) => BitVecValue::from_u64(o, 32),
-                None => self.const_eval(value, None)?,
+                None => const_value(self, value)?,
             };
             self.params.insert(name.clone(), v);
         }
         let items = self.module.items.clone();
         for item in &items {
             if let Item::Param { name, value, pos } = item {
-                let v = self.const_eval(value, None).map_err(|e| ElabError::at(*pos, e.message))?;
+                let v = const_value(self, value).map_err(|e| ElabError::at(*pos, e.message))?;
                 self.params.insert(name.clone(), v);
             }
         }
@@ -279,8 +281,8 @@ impl<'a> Elaborator<'a> {
         match range {
             None => Ok(1),
             Some(r) => {
-                let hi = self.const_eval_u64(&r.hi)?;
-                let lo = self.const_eval_u64(&r.lo)?;
+                let hi = const_u64(self, &r.hi)?;
+                let lo = const_u64(self, &r.lo)?;
                 if lo != 0 {
                     return Err(ElabError::new(format!(
                         "only [N:0] ranges are supported, got [{hi}:{lo}]"
@@ -391,8 +393,8 @@ impl<'a> Elaborator<'a> {
             }
             NetDef::Assign(rhs) => {
                 let w = self.width_of_net(name)?;
-                let e = self.elab_expr(&rhs, Some(w))?;
-                Ok(self.fit(e, w))
+                let e = lower_expr(self, &rhs, Some(w))?;
+                Ok(fit(self.ctx, e, w))
             }
             NetDef::CombBlock(idx) => {
                 let item = self.module.items[idx].clone();
@@ -401,7 +403,7 @@ impl<'a> Elaborator<'a> {
                 let mut own: Option<ExprRef> = None;
                 for (t, e) in assignments {
                     let w = self.width_of_net(&t)?;
-                    let fitted = self.fit(e, w);
+                    let fitted = fit(self.ctx, e, w);
                     if t == name {
                         own = Some(fitted);
                     }
@@ -455,11 +457,11 @@ impl<'a> Elaborator<'a> {
             }
             Stmt::NonBlocking { target, rhs } | Stmt::Blocking { target, rhs } => {
                 let w = self.width_of_net(&target.name)?;
-                let e = self.elab_expr(rhs, Some(w)).map_err(|e| ElabError {
+                let e = lower_expr(self, rhs, Some(w)).map_err(|e| ElabError {
                     pos: e.pos.or(Some(target.pos)),
                     message: e.message,
                 })?;
-                let fitted = self.fit(e, w);
+                let fitted = fit(self.ctx, e, w);
                 envmap.insert(target.name.clone(), fitted);
                 touched.push(target.name.clone());
             }
@@ -476,7 +478,7 @@ impl<'a> Elaborator<'a> {
                 touched.push(target.name.clone());
             }
             Stmt::If { cond, then_branch, else_branch } => {
-                let c = self.elab_bool(cond)?;
+                let c = lower_bool(self, cond)?;
                 let mut then_env = envmap.clone();
                 self.exec_clocked_inner(then_branch, &mut then_env, touched, pos)?;
                 let mut else_env = envmap.clone();
@@ -494,7 +496,7 @@ impl<'a> Elaborator<'a> {
                 }
             }
             Stmt::Case { subject, arms, default } => {
-                let subj = self.elab_expr(subject, None)?;
+                let subj = lower_expr(self, subject, None)?;
                 let sw = self.ctx.width_of(subj);
                 // Build from the default (or hold) upwards, last arm first.
                 let mut result_env = match default {
@@ -510,8 +512,8 @@ impl<'a> Elaborator<'a> {
                     self.exec_clocked_inner(body, &mut arm_env, touched, pos)?;
                     let mut hit = self.ctx.bool_const(false);
                     for l in labels {
-                        let lv = self.elab_expr(l, Some(sw))?;
-                        let lv = self.fit(lv, sw);
+                        let lv = lower_expr(self, l, Some(sw))?;
+                        let lv = fit(self.ctx, lv, sw);
                         let eq = self.ctx.eq(subj, lv);
                         hit = self.ctx.or(hit, eq);
                     }
@@ -576,11 +578,12 @@ impl<'a> Elaborator<'a> {
                 // Blocking reads see the overlay: temporarily install
                 // resolved values for already-assigned targets.
                 let e = self.elab_expr_with_overlay(rhs, Some(w), env)?;
-                let fitted = self.fit(e, w);
+                let fitted = fit(self.ctx, e, w);
                 env.insert(target.name.clone(), Some(fitted));
             }
             Stmt::If { cond, then_branch, else_branch } => {
-                let c = self.elab_bool_with_overlay(cond, env)?;
+                let c = self.elab_expr_with_overlay(cond, None, env)?;
+                let c = to_bool(self.ctx, c);
                 let mut then_env = env.clone();
                 self.exec_comb_inner(then_branch, &mut then_env, pos)?;
                 let mut else_env = env.clone();
@@ -610,8 +613,8 @@ impl<'a> Elaborator<'a> {
                     self.exec_comb_inner(body, &mut arm_env, pos)?;
                     let mut hit = self.ctx.bool_const(false);
                     for l in labels {
-                        let lv = self.elab_expr(l, Some(sw))?;
-                        let lv = self.fit(lv, sw);
+                        let lv = lower_expr(self, l, Some(sw))?;
+                        let lv = fit(self.ctx, lv, sw);
                         let eq = self.ctx.eq(subj, lv);
                         hit = self.ctx.or(hit, eq);
                     }
@@ -649,7 +652,7 @@ impl<'a> Elaborator<'a> {
                 saved.push((name.clone(), self.resolved.insert(name.clone(), *v)));
             }
         }
-        let result = self.elab_expr(e, expected);
+        let result = lower_expr(self, e, expected);
         for (name, prev) in saved {
             match prev {
                 Some(p) => {
@@ -662,336 +665,24 @@ impl<'a> Elaborator<'a> {
         }
         result
     }
+}
 
-    fn elab_bool_with_overlay(
-        &mut self,
-        e: &Expr,
-        overlay: &BTreeMap<String, Option<ExprRef>>,
-    ) -> Result<ExprRef, ElabError> {
-        let x = self.elab_expr_with_overlay(e, None, overlay)?;
-        Ok(self.to_bool(x))
-    }
+impl Scope for Elaborator<'_> {
+    type Error = ElabError;
 
-    // --- expressions -------------------------------------------------------
-
-    fn fit(&mut self, e: ExprRef, width: u32) -> ExprRef {
-        let w = self.ctx.width_of(e);
-        if w == width {
-            e
-        } else if w > width {
-            self.ctx.extract(e, width - 1, 0)
-        } else {
-            self.ctx.zext(e, width)
-        }
-    }
-
-    // `to_bool` converts the expression, not `self` — the builder context
-    // just has to be mutable to hash-cons the reduction node.
-    #[allow(clippy::wrong_self_convention)]
-    fn to_bool(&mut self, e: ExprRef) -> ExprRef {
-        if self.ctx.width_of(e) == 1 {
-            e
-        } else {
-            self.ctx.red_or(e)
-        }
-    }
-
-    fn elab_bool(&mut self, e: &Expr) -> Result<ExprRef, ElabError> {
-        let x = self.elab_expr(e, None)?;
-        Ok(self.to_bool(x))
-    }
-
-    fn const_eval(&mut self, e: &Expr, expected: Option<u32>) -> Result<BitVecValue, ElabError> {
-        let x = self.elab_expr(e, expected.or(Some(32)))?;
+    fn ctx(&mut self) -> &mut Context {
         self.ctx
-            .const_value(x)
-            .cloned()
-            .ok_or_else(|| ElabError::new("expression must be constant here".to_string()))
     }
 
-    fn const_eval_u64(&mut self, e: &Expr) -> Result<u64, ElabError> {
-        self.const_eval(e, Some(32))?
-            .to_u64()
-            .ok_or_else(|| ElabError::new("constant too wide".to_string()))
+    fn ident(&mut self, name: &str) -> Result<ExprRef, ElabError> {
+        self.resolve(name)
     }
 
-    /// Elaborates an expression; `expected` is a width hint used to size
-    /// unsized literals and fill literals.
-    fn elab_expr(&mut self, e: &Expr, expected: Option<u32>) -> Result<ExprRef, ElabError> {
-        match e {
-            Expr::Number { size, base, digits } => self.elab_number(*size, *base, digits, expected),
-            Expr::Ident(name) => self.resolve(name),
-            Expr::Unary(op, a) => {
-                let x = match op {
-                    UnaryAstOp::BitNot | UnaryAstOp::Neg => self.elab_expr(a, expected)?,
-                    _ => self.elab_expr(a, None)?,
-                };
-                Ok(match op {
-                    UnaryAstOp::BitNot => self.ctx.not(x),
-                    UnaryAstOp::Neg => self.ctx.neg(x),
-                    UnaryAstOp::LogNot => {
-                        let b = self.to_bool(x);
-                        self.ctx.not(b)
-                    }
-                    UnaryAstOp::RedAnd => self.ctx.red_and(x),
-                    UnaryAstOp::RedOr => self.ctx.red_or(x),
-                    UnaryAstOp::RedXor => self.ctx.red_xor(x),
-                })
-            }
-            Expr::Binary(op, a, b) => self.elab_binary(*op, a, b, expected),
-            Expr::Ternary(c, t, f) => {
-                let cond = self.elab_bool(c)?;
-                let (tt, ff) = self.elab_pair(t, f, expected)?;
-                Ok(self.ctx.ite(cond, tt, ff))
-            }
-            Expr::Index(base, idx) => {
-                let x = self.elab_expr(base, None)?;
-                let i = self.const_eval_u64(idx)? as u32;
-                let w = self.ctx.width_of(x);
-                if i >= w {
-                    return Err(ElabError::new(format!("bit index {i} out of range (width {w})")));
-                }
-                Ok(self.ctx.bit(x, i))
-            }
-            Expr::Range(base, hi, lo) => {
-                let x = self.elab_expr(base, None)?;
-                let h = self.const_eval_u64(hi)? as u32;
-                let l = self.const_eval_u64(lo)? as u32;
-                let w = self.ctx.width_of(x);
-                if h < l || h >= w {
-                    return Err(ElabError::new(format!(
-                        "part select [{h}:{l}] out of range (width {w})"
-                    )));
-                }
-                Ok(self.ctx.extract(x, h, l))
-            }
-            Expr::Concat(parts) => {
-                let mut acc: Option<ExprRef> = None;
-                let mut width = 0u64;
-                for p in parts {
-                    let x = self.elab_expr(p, None)?;
-                    width += u64::from(self.ctx.width_of(x));
-                    check_concat_width(width)?;
-                    acc = Some(match acc {
-                        None => x,
-                        Some(a) => self.ctx.concat(a, x),
-                    });
-                }
-                acc.ok_or_else(|| ElabError::new("empty concatenation".to_string()))
-            }
-            Expr::Repl(count, inner) => {
-                let n = self.const_eval_u64(count)?;
-                if n == 0 || n > 4096 {
-                    return Err(ElabError::new(format!("bad replication count {n}")));
-                }
-                let x = self.elab_expr(inner, None)?;
-                check_concat_width(n * u64::from(self.ctx.width_of(x)))?;
-                let mut acc = x;
-                for _ in 1..n {
-                    acc = self.ctx.concat(acc, x);
-                }
-                Ok(acc)
-            }
-            Expr::Call(name, args) => self.elab_call(name, args, expected),
-        }
-    }
-
-    fn elab_number(
-        &mut self,
-        size: Option<u32>,
-        base: char,
-        digits: &str,
-        expected: Option<u32>,
-    ) -> Result<ExprRef, ElabError> {
-        let value = match base {
-            'f' => {
-                let w = expected.ok_or_else(|| {
-                    ElabError::new("fill literal '0/'1 needs a width from context".to_string())
-                })?;
-                return Ok(if digits == "1" {
-                    let v = BitVecValue::ones(w);
-                    self.ctx.value(v)
-                } else {
-                    self.ctx.constant(0, w)
-                });
-            }
-            'i' | 'd' => {
-                let w = size.or(expected).unwrap_or(32);
-                BitVecValue::from_decimal_str(digits, w.max(1))
-                    .ok_or_else(|| ElabError::new(format!("bad decimal literal `{digits}`")))?
-            }
-            'b' => {
-                let raw = BitVecValue::from_binary_str(digits)
-                    .ok_or_else(|| ElabError::new(format!("bad binary literal `{digits}`")))?;
-                let w = size.or(expected).unwrap_or(raw.width());
-                resize(raw, w)
-            }
-            'h' => {
-                let raw = BitVecValue::from_hex_str(digits)
-                    .ok_or_else(|| ElabError::new(format!("bad hex literal `{digits}`")))?;
-                let w = size.or(expected).unwrap_or(raw.width());
-                resize(raw, w)
-            }
-            'o' => {
-                let mut acc = BitVecValue::zero(64.max(3 * digits.len() as u32));
-                for c in digits.chars() {
-                    let d = c
-                        .to_digit(8)
-                        .ok_or_else(|| ElabError::new(format!("bad octal digit `{c}`")))?;
-                    let w = acc.width();
-                    acc = acc.shl_const(3).or(&BitVecValue::from_u64(d as u64, w));
-                }
-                let w = size.or(expected).unwrap_or(3 * digits.len() as u32);
-                resize(acc, w)
-            }
-            _ => return Err(ElabError::new(format!("unsupported base `{base}`"))),
-        };
-        Ok(self.ctx.value(value))
-    }
-
-    /// Elaborates two operands and unifies their widths (Verilog max-width
-    /// rule, zero extension).
-    fn elab_pair(
-        &mut self,
-        a: &Expr,
-        b: &Expr,
-        expected: Option<u32>,
-    ) -> Result<(ExprRef, ExprRef), ElabError> {
-        // Elaborate the non-literal side first so literals get a width hint.
-        let (x, y) = if matches!(a, Expr::Number { .. }) && !matches!(b, Expr::Number { .. }) {
-            let y = self.elab_expr(b, expected)?;
-            let hint = Some(self.ctx.width_of(y)).or(expected);
-            let x = self.elab_expr(a, hint)?;
-            (x, y)
-        } else {
-            let x = self.elab_expr(a, expected)?;
-            let hint = Some(self.ctx.width_of(x));
-            let y = self.elab_expr(b, hint)?;
-            (x, y)
-        };
-        let w = self.ctx.width_of(x).max(self.ctx.width_of(y));
-        let x = if self.ctx.width_of(x) < w { self.ctx.zext(x, w) } else { x };
-        let y = if self.ctx.width_of(y) < w { self.ctx.zext(y, w) } else { y };
-        Ok((x, y))
-    }
-
-    fn elab_binary(
-        &mut self,
-        op: BinaryAstOp,
-        a: &Expr,
-        b: &Expr,
-        expected: Option<u32>,
-    ) -> Result<ExprRef, ElabError> {
-        match op {
-            BinaryAstOp::LogAnd | BinaryAstOp::LogOr => {
-                let x = self.elab_bool(a)?;
-                let y = self.elab_bool(b)?;
-                Ok(match op {
-                    BinaryAstOp::LogAnd => self.ctx.and(x, y),
-                    _ => self.ctx.or(x, y),
-                })
-            }
-            BinaryAstOp::Shl | BinaryAstOp::Shr => {
-                let x = self.elab_expr(a, expected)?;
-                let y = self.elab_expr(b, None)?;
-                let w = self.ctx.width_of(x);
-                let y = self.fit(y, w);
-                Ok(match op {
-                    BinaryAstOp::Shl => self.ctx.shl(x, y),
-                    _ => self.ctx.lshr(x, y),
-                })
-            }
-            BinaryAstOp::Eq
-            | BinaryAstOp::Ne
-            | BinaryAstOp::Lt
-            | BinaryAstOp::Le
-            | BinaryAstOp::Gt
-            | BinaryAstOp::Ge => {
-                let (x, y) = self.elab_pair(a, b, None)?;
-                Ok(match op {
-                    BinaryAstOp::Eq => self.ctx.eq(x, y),
-                    BinaryAstOp::Ne => self.ctx.ne(x, y),
-                    BinaryAstOp::Lt => self.ctx.ult(x, y),
-                    BinaryAstOp::Le => self.ctx.ule(x, y),
-                    BinaryAstOp::Gt => self.ctx.ugt(x, y),
-                    _ => self.ctx.uge(x, y),
-                })
-            }
-            _ => {
-                let (x, y) = self.elab_pair(a, b, expected)?;
-                Ok(match op {
-                    BinaryAstOp::Add => self.ctx.add(x, y),
-                    BinaryAstOp::Sub => self.ctx.sub(x, y),
-                    BinaryAstOp::Mul => self.ctx.mul(x, y),
-                    BinaryAstOp::Div => self.ctx.udiv(x, y),
-                    BinaryAstOp::Mod => self.ctx.urem(x, y),
-                    BinaryAstOp::BitAnd => self.ctx.and(x, y),
-                    BinaryAstOp::BitOr => self.ctx.or(x, y),
-                    BinaryAstOp::BitXor => self.ctx.xor(x, y),
-                    _ => unreachable!("handled above"),
-                })
-            }
-        }
-    }
-
-    fn elab_call(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        _expected: Option<u32>,
-    ) -> Result<ExprRef, ElabError> {
-        let one_arg = |s: &mut Self, args: &[Expr]| -> Result<ExprRef, ElabError> {
-            if args.len() != 1 {
-                return Err(ElabError::new(format!("{name} takes exactly one argument")));
-            }
-            s.elab_expr(&args[0], None)
-        };
-        match name {
-            "$countones" => {
-                let x = one_arg(self, args)?;
-                Ok(self.ctx.count_ones(x, 32))
-            }
-            "$onehot" => {
-                let x = one_arg(self, args)?;
-                Ok(self.ctx.onehot(x))
-            }
-            "$onehot0" => {
-                let x = one_arg(self, args)?;
-                Ok(self.ctx.onehot0(x))
-            }
-            "$clog2" => {
-                let v = self.const_eval_u64(&args[0])?;
-                let bits = if v <= 1 { 0 } else { 64 - (v - 1).leading_zeros() };
-                Ok(self.ctx.constant(bits as u64, 32))
-            }
-            "$unsigned" | "$signed" => one_arg(self, args),
-            other => Err(ElabError::new(format!(
-                "system function `{other}` is not supported in RTL (SVA-only functions \
-                 like $past belong in assertions)"
-            ))),
-        }
-    }
-}
-
-/// A concatenation or replication `width` bits wide is an error past
-/// [`BitVecValue::MAX_WIDTH`], checked before any of it is built.
-fn check_concat_width(width: u64) -> Result<(), ElabError> {
-    if width > u64::from(BitVecValue::MAX_WIDTH) {
-        return Err(ElabError::new(format!(
-            "concatenation is {width} bits wide, more than {}",
-            BitVecValue::MAX_WIDTH
-        )));
-    }
-    Ok(())
-}
-
-fn resize(v: BitVecValue, width: u32) -> BitVecValue {
-    if v.width() == width {
-        v
-    } else if v.width() > width {
-        v.extract(width - 1, 0)
-    } else {
-        v.zext(width)
+    fn call(&mut self, name: &str, _args: &[Expr]) -> Result<ExprRef, ElabError> {
+        Err(ElabError::new(format!(
+            "system function `{name}` is not supported in RTL (SVA-only functions \
+             like $past belong in assertions)"
+        )))
     }
 }
 

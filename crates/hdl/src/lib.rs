@@ -11,6 +11,14 @@
 //! values, and ports plus internal nets are published as named signals so
 //! assertions and traces can refer to them.
 //!
+//! Expressions lower through [`lower`], which `genfv-sva` shares, so an
+//! expression means the same in RTL and in an assertion over it. A front
+//! end implements [`lower::Scope`]: it names the context nodes are built
+//! in, resolves identifiers, and lowers the system functions the shared
+//! code does not define. The elaborator resolves nets and parameters and
+//! rejects those functions: the sampled-value ones (`$past`, `$stable`,
+//! `$changed`, `$rose`, `$fell`) belong in assertions.
+//!
 //! ```
 //! use genfv_ir::Context;
 //!
@@ -35,6 +43,7 @@
 pub mod ast;
 pub mod elaborate;
 pub mod lexer;
+pub mod lower;
 pub mod parser;
 
 pub use ast::{Expr, Module};

@@ -506,6 +506,21 @@ impl BitVecValue {
         out
     }
 
+    /// Truncates to the low `width` bits or zero-extends to `width`,
+    /// whichever applies (Verilog assignment sizing).
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or exceeds [`BitVecValue::MAX_WIDTH`].
+    pub fn resize(self, width: u32) -> Self {
+        if self.width == width {
+            self
+        } else if self.width > width {
+            self.extract(width - 1, 0)
+        } else {
+            self.zext(width)
+        }
+    }
+
     /// Sign-extends to `width`.
     ///
     /// # Panics
@@ -728,6 +743,9 @@ mod tests {
         assert_eq!(v.sext(8).to_u64(), Some(0b1111_1010));
         let pos = BitVecValue::from_u64(0b0010, 4);
         assert_eq!(pos.sext(8).to_u64(), Some(0b0000_0010));
+        assert_eq!(v.clone().resize(8), v.zext(8));
+        assert_eq!(v.clone().resize(2), v.extract(1, 0));
+        assert_eq!(v.clone().resize(4), v);
     }
 
     #[test]

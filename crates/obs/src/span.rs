@@ -140,15 +140,21 @@ impl ObsInner {
         })
     }
 
+    /// A span's two timestamps bracket the region it guards, not this
+    /// bookkeeping: an end reads the clock before the buffer lookup, a
+    /// begin (or an instant) after it, once the push cannot allocate.
     fn record(self: &Arc<Self>, name: &'static str, detail: Option<Box<str>>, phase: Phase) {
         if self.recorded.fetch_add(1, Ordering::Relaxed) >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        let end_ts = (phase == Phase::End).then(|| self.now());
         EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
         let buf = self.buf();
-        let ev = TraceEvent { name, detail, phase, ts: self.now(), tid: buf.tid };
-        lock(&buf.events).push(ev);
+        let mut events = lock(&buf.events);
+        events.reserve(1);
+        let ts = end_ts.unwrap_or_else(|| self.now());
+        events.push(TraceEvent { name, detail, phase, ts, tid: buf.tid });
     }
 
     /// All events so far, concatenated per-buffer then stably sorted by

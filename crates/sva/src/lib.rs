@@ -3,9 +3,12 @@
 //! Parser and compiler for the assertion fragment the `genfv` flows emit
 //! and consume:
 //!
-//! * boolean layer: the full `genfv-hdl` expression language plus the
-//!   sampled-value functions `$past`, `$stable`, `$changed`, `$rose`,
-//!   `$fell`, `$onehot`, `$onehot0`, `$countones`;
+//! * boolean layer: `genfv-hdl`'s expression lowering
+//!   ([`genfv_hdl::lower`]), the one the RTL goes through, so literals,
+//!   width rules and `$countones`, `$onehot`, `$onehot0`, `$clog2`,
+//!   `$unsigned`, `$signed` mean what they mean in the design; SVA adds
+//!   the sampled-value functions `$past`, `$stable`, `$changed`, `$rose`,
+//!   `$fell`;
 //! * temporal layer: bounded-delay sequences (`a ##1 b ##2 c`),
 //!   overlapping/non-overlapping implication (`|->`, `|=>`), optional
 //!   clocking events (accepted, ignored — the model is already clocked)

@@ -5,7 +5,10 @@
 //! compiled against the design, and RTL that parses is elaborated, so
 //! both run here too, on generated text that reaches for the widths a
 //! value cannot have (0, `BitVecValue::MAX_WIDTH + 1`, `u32::MAX`) and
-//! the edges it can (1, `MAX_WIDTH`).
+//! the edges it can (1, `MAX_WIDTH`). Assertions and RTL share one
+//! expression lowering, so both generators also reach for its edges:
+//! system functions with 0–2 arguments, selects at 2^32 and 2^32 + 7,
+//! and literals whose digits are wider than `MAX_WIDTH` bits.
 
 use genfv_ir::{BitVecValue, Context, TransitionSystem};
 use genfv_sva::{parse_assertion, parse_assertions, PropertyCompiler};
@@ -62,8 +65,51 @@ fn operator() -> impl Strategy<Value = &'static str> {
     ]
 }
 
+/// A call of a system function the lowering shares, or of `$past` where
+/// `sampled`, with 0–2 arguments: the signal, a constant, or a constant
+/// past 32 bits.
+fn system_call(signal: &'static str, sampled: bool) -> impl Strategy<Value = String> {
+    const NAMES: [&str; 6] = ["$clog2", "$unsigned", "$signed", "$countones", "$onehot", "$past"];
+    let names = if sampled { NAMES.len() } else { NAMES.len() - 1 };
+    (0..names, proptest::collection::vec(0usize..3, 0..3)).prop_map(move |(f, args)| {
+        let args: Vec<&str> = args.into_iter().map(|i| [signal, "256", "4294967297"][i]).collect();
+        format!("{}({})", NAMES[f], args.join(", "))
+    })
+}
+
+/// A select whose bounds are 2^32 or 2^32 + 7: an error, never bit 0 or 7.
+fn wide_select(signal: &'static str) -> impl Strategy<Value = String> {
+    let i = 1u64 << 32;
+    prop_oneof![
+        Just(format!("{signal}[{i}]")),
+        Just(format!("{signal}[{}]", i + 7)),
+        Just(format!("{signal}[{}:{i}]", i + 7)),
+    ]
+}
+
+/// A sized literal whose binary, octal or hex digits are wider than
+/// `MAX_WIDTH` bits.
+fn long_literal() -> impl Strategy<Value = String> {
+    let max = BitVecValue::MAX_WIDTH as usize;
+    prop_oneof![
+        Just(format!("8'b{}", "0".repeat(max + 1))),
+        Just(format!("8'o{}", "0".repeat(max / 3 + 1))),
+        Just(format!("8'h{}", "0".repeat(max / 4 + 1))),
+    ]
+}
+
+/// An operand at the edges of the shared lowering.
+fn lowering_edge(signal: &'static str, sampled: bool) -> impl Strategy<Value = String> {
+    prop_oneof![system_call(signal, sampled), wide_select(signal), long_literal()]
+}
+
 fn operand() -> impl Strategy<Value = String> {
-    prop_oneof![Just("count1".to_string()), Just("d".to_string()), sized_literal()]
+    prop_oneof![
+        Just("count1".to_string()),
+        Just("d".to_string()),
+        sized_literal(),
+        lowering_edge("count1", true),
+    ]
 }
 
 /// An assertion body over the fixed design's signals and sized literals.
@@ -89,14 +135,17 @@ fn range(width: u64, form: u8) -> String {
 }
 
 /// A one-register module whose declared range and sized literals sit at
-/// the edge widths.
+/// the edge widths, or whose right-hand side sits at a lowering edge.
 fn module_source() -> impl Strategy<Value = String> {
-    (edge_width(), 0u8..3, sized_literal(), operator(), 0u8..3).prop_map(
-        |(w, form, lit, op, shape)| {
+    let edges = (lowering_edge("c", false), system_call("c", false));
+    ((edge_width(), 0u8..3), sized_literal(), operator(), 0u8..5, edges).prop_map(
+        |((w, form), lit, op, shape, (edge, call))| {
             let body = match shape {
                 0 => format!("c <= c {op} {lit};"),
                 1 => format!("c <= {lit};"),
-                _ => format!("case (a) {lit}: c <= '0; default: c <= c; endcase"),
+                2 => format!("case (a) {lit}: c <= '0; default: c <= c; endcase"),
+                3 => format!("c <= c {op} {edge};"),
+                _ => format!("c <= {call};"),
             };
             format!(
                 "module m #(parameter W = {w}) (input clk, input rst, input logic [3:0] a, \

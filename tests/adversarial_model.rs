@@ -33,11 +33,14 @@ impl LanguageModel for AdversarialModel {
             1 => {
                 // Phantom signals and width abuse (a literal no value can
                 // have never parses: the lexer rejects size 0; a
-                // concatenation wider than any value is a compile error).
+                // concatenation wider than any value and a select past
+                // 32 bits, which must not wrap to bit 0, are compile
+                // errors).
                 "property p3; count1 == shadow_reg; endproperty\n\
                  property p4; not_a_signal[99] == 1'b1; endproperty\n\
                  property p4z; count1 == 0'b1; endproperty\n\
-                 property p4w; {1048576'd0, 1'b0} == count1; endproperty\n"
+                 property p4w; {1048576'd0, 1'b0} == count1; endproperty\n\
+                 property p4i; count1[4294967296] == count2[4294967296]; endproperty\n"
             }
             2 => {
                 // Syntactic garbage.
@@ -133,6 +136,11 @@ fn adversary_cannot_install_false_lemmas() {
     assert!(
         report.events.iter().any(|e| e.contains("p4w: compile rejected")),
         "an over-wide concatenation is a compile rejection: {:#?}",
+        report.events
+    );
+    assert!(
+        report.events.iter().any(|e| e.contains("p4i: compile rejected")),
+        "a select past 32 bits is a compile rejection, not bit 0: {:#?}",
         report.events
     );
     assert!(m.rejected_false > 0, "false invariants must be disproven: {m:?}");
