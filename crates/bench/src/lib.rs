@@ -75,6 +75,22 @@ pub fn outcome_cell(outcome: &TargetOutcome) -> String {
     }
 }
 
+/// Whether `augmented` improves on `plain` for one target: it goes from
+/// unproven to proven, or proves at a strictly lower `k`. Verdicts and
+/// depths decide alone, so a pair with the same verdict and depth is never
+/// an improvement, whatever its proof times (E4 prints those beside the
+/// count).
+pub fn improved(plain: &TargetOutcome, augmented: &TargetOutcome) -> bool {
+    match (plain, augmented) {
+        (TargetOutcome::Proven { k: plain_k, .. }, TargetOutcome::Proven { k, .. }) => k < plain_k,
+        (
+            TargetOutcome::StillUnproven { .. } | TargetOutcome::Unknown { .. },
+            TargetOutcome::Proven { .. },
+        ) => true,
+        _ => false,
+    }
+}
+
 /// Formats a duration compactly for table cells.
 pub fn ms(d: Duration) -> String {
     format!("{:.1}ms", d.as_secs_f64() * 1e3)
@@ -99,6 +115,32 @@ mod tests {
         );
         assert_eq!(outcome_cell(&TargetOutcome::Proven { k: 3, lemmas_used: 0 }), "proven k=3");
         assert_eq!(outcome_cell(&TargetOutcome::Falsified { at: 4 }), "BUG at cycle 4");
+    }
+
+    #[test]
+    fn improvement_follows_verdicts_and_depths() {
+        let proven = |k, lemmas_used| TargetOutcome::Proven { k, lemmas_used };
+        let unproven = TargetOutcome::StillUnproven {
+            k: 3,
+            trace: Box::new(genfv_mc::Trace {
+                property: "t".to_string(),
+                kind: genfv_mc::TraceKind::InductionStep,
+                steps: Vec::new(),
+            }),
+        };
+        // Same verdict and depth: never improved. Timings are not an input.
+        assert!(!improved(&proven(2, 0), &proven(2, 3)));
+        assert!(!improved(&unproven, &unproven));
+        assert!(!improved(
+            &TargetOutcome::Falsified { at: 4 },
+            &TargetOutcome::Falsified { at: 4 }
+        ));
+        // Unproven → proven, or a strictly lower depth.
+        assert!(improved(&unproven, &proven(1, 2)));
+        assert!(improved(&proven(2, 0), &proven(1, 1)));
+        // A deeper proof or a lost one is no improvement.
+        assert!(!improved(&proven(1, 0), &proven(2, 1)));
+        assert!(!improved(&proven(1, 0), &unproven));
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::validate::{install_lemma, Candidate, Lemma, ValidateConfig, Validatio
 use genfv_genai::{LanguageModel, Prompt};
 use genfv_ir::{ExprRef, OptConfig, OptStats};
 use genfv_mc::{
-    prove_rebuild, render_waveform, CheckConfig, EngineMode, PortfolioConfig, ProofSession,
-    ProveResult, SessionStats, Trace, UnrollMode,
+    render_waveform, CheckConfig, PortfolioConfig, ProofSession, ProveResult, SessionStats, Trace,
+    UnrollMode,
 };
 use genfv_obs::{Accumulate, Obs};
 use genfv_sva::parse_assertions;
@@ -204,18 +204,11 @@ impl Default for FlowConfig {
 }
 
 impl FlowConfig {
-    /// This configuration with every check — candidate validation,
-    /// Houdini, and target proofs — forced onto `engine`. The
-    /// rebuild-vs-incremental bench uses this to run the identical flow on
-    /// both architectures.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.validate.engine = engine;
+    /// This configuration, unchanged: every check runs on
+    /// [`ProofSession`]s. Ignored; kept because `e0_ledger` names it;
+    /// delete with the next benchmark change.
+    pub fn with_engine(self, _engine: genfv_mc::EngineMode) -> Self {
         self
-    }
-
-    /// The engine architecture this flow's checks run on.
-    pub fn engine(&self) -> EngineMode {
-        self.validate.engine
     }
 
     /// This configuration with every incremental-session query — candidate
@@ -371,7 +364,7 @@ impl<'a> Run<'a> {
         let mut session = self.open(design);
         let mut reports = Vec::new();
         for target in &design.targets {
-            let res = self.prove(design, &mut session, target);
+            let res = self.prove(&mut session, target);
             reports.push(self.settle(target, res, 0));
         }
         self.close(session);
@@ -398,7 +391,7 @@ impl<'a> Run<'a> {
             let mut repairs = 0;
             let report = loop {
                 let mut session = self.open(design);
-                let res = self.prove(design, &mut session, target);
+                let res = self.prove(&mut session, target);
                 let fix = loop {
                     let ProveResult::StepFailure { k, trace, .. } = &res else { break None };
                     if repairs == self.config.max_iterations {
@@ -534,44 +527,24 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// A proof session with the accepted lemmas installed, or `None` when
-    /// the reference engine rebuilds per query.
-    fn open<'d>(&self, design: &'d PreparedDesign) -> Option<ProofSession<'d>> {
-        (self.config.engine() == EngineMode::Incremental).then(|| {
-            let mut session = ProofSession::new(&design.ctx, &design.ts, self.config.check.clone());
-            session.add_lemmas(&self.lemma_exprs());
-            session
-        })
+    /// A proof session with the accepted lemmas installed.
+    fn open<'d>(&self, design: &'d PreparedDesign) -> ProofSession<'d> {
+        let mut session = ProofSession::new(&design.ctx, &design.ts, self.config.check.clone());
+        session.add_lemmas(&self.lemma_exprs());
+        session
     }
 
-    /// Proves `target` under the accepted lemmas, on `session` if there is
-    /// one and with fresh engines otherwise.
-    fn prove(
-        &mut self,
-        design: &PreparedDesign,
-        session: &mut Option<ProofSession<'_>>,
-        target: &Target,
-    ) -> ProveResult {
+    /// Proves `target` under the accepted lemmas on `session`.
+    fn prove(&mut self, session: &mut ProofSession<'_>, target: &Target) -> ProveResult {
         let t0 = Instant::now();
-        let res = match session {
-            Some(s) => s.prove(&target.prop),
-            None => prove_rebuild(
-                &design.ctx,
-                &design.ts,
-                &target.prop,
-                &self.lemma_exprs(),
-                &self.config.check,
-            ),
-        };
+        let res = session.prove(&target.prop);
         self.metrics.proof_time += t0.elapsed();
         res
     }
 
     /// Folds a finished session's reuse counters into the metrics.
-    fn close(&mut self, session: Option<ProofSession<'_>>) {
-        if let Some(s) = session {
-            self.metrics.solver.absorb(s.stats());
-        }
+    fn close(&mut self, session: ProofSession<'_>) {
+        self.metrics.solver.absorb(session.stats());
     }
 
     /// Settles `target`: the one mapping from a proof result to a

@@ -27,8 +27,8 @@
 //!   the alive set is inductive (fixpoint, and the assumption core names
 //!   the hypotheses that carried the proof); SAT yields a model whose
 //!   false obligations are exactly the candidates to drop;
-//! * base cases ([`genfv_mc::ProofSession::any_violation`], frame-by-frame with
-//!   early exit over the same session) are **deferred** until the step
+//! * base cases ([`genfv_mc::ProofSession::first_violation`], frame by frame
+//!   with early exit over the same session) are **deferred** until the step
 //!   fixpoint stabilises and run only for its survivors; a base drop
 //!   re-enters the fixpoint. The classic base-first formulation and this
 //!   order converge to the same set — the greatest jointly-inductive
@@ -47,16 +47,17 @@
 //! [`houdini()`] runs the same fixpoint standalone on a fresh clone and
 //! session; its solver-reuse counters are returned in
 //! [`HoudiniResult::session`].
+//!
+//! The classic formulation (a fresh engine per strengthening iteration,
+//! base cases first) is not library code: the differential tests in
+//! `genfv-designs` keep it as the reference both entry points must match.
 
 use crate::design::PreparedDesign;
 use crate::validate::{
-    check_on_session, check_with_rebuild, compile_on_clone, validate_candidate, Candidate,
-    ValidateConfig, ValidationOutcome,
+    check_on_session, compile_on_clone, Candidate, ValidateConfig, ValidationOutcome,
 };
 use genfv_ir::ExprRef;
-use genfv_mc::{
-    bmc_rebuild, Accumulate, BmcResult, EngineMode, ProofSession, Property, SessionStats, Unroller,
-};
+use genfv_mc::{ProofSession, Property, SessionStats};
 use genfv_sat::SolveResult;
 
 /// Result of a Houdini run.
@@ -76,8 +77,7 @@ pub struct HoudiniResult {
     /// appeared in the assumption core of the final fixpoint-establishing
     /// UNSAT sweep — the candidates that actually *carried* the joint
     /// induction proof. A subset of `accepted`; empty when the pool died
-    /// entirely or the run used [`EngineMode::RebuildPerQuery`] (the
-    /// reference engine does not track cores).
+    /// entirely.
     pub carried: Vec<usize>,
 }
 
@@ -99,9 +99,6 @@ pub fn houdini(
 ) -> HoudiniResult {
     if candidates.is_empty() {
         return HoudiniResult::default();
-    }
-    if config.engine == EngineMode::RebuildPerQuery {
-        return houdini_rebuild(design, proven_lemmas, candidates, config);
     }
     let (ctx, ts, compiled) = compile_on_clone(design, candidates);
     // The one bit-blast of this run.
@@ -207,7 +204,7 @@ pub(crate) fn houdini_on_session(
             SolveResult::Unknown => {
                 // Budget pressure: fall back to per-candidate obligations
                 // for this iteration, dropping any that stay unknown —
-                // the rebuild loop's conservative behaviour.
+                // the classic loop's conservative behaviour.
                 let mut dropped_any = false;
                 let snapshot = alive.clone();
                 for &i in &snapshot {
@@ -267,108 +264,8 @@ pub(crate) fn houdini_on_session(
     result
 }
 
-/// The pre-incremental Houdini loop, preserved as the rebuild-per-query
-/// reference: a fresh [`Unroller`] (full re-bit-blast, brand-new solver)
-/// per strengthening iteration, a standalone BMC run per candidate base
-/// case, lemmas asserted rather than activated, and one solver query per
-/// alive candidate per sweep. Houdini's fixpoint (the unique maximal
-/// mutually-inductive subset) is canonical, so this must accept exactly
-/// the sets the incremental engine accepts — the corpus differential test
-/// pins that.
-fn houdini_rebuild(
-    design: &PreparedDesign,
-    proven_lemmas: &[ExprRef],
-    candidates: &[Candidate],
-    config: &ValidateConfig,
-) -> HoudiniResult {
-    let mut result = HoudiniResult::default();
-    let (ctx, ts, compiled) = compile_on_clone(design, candidates);
-    let exprs = exprs_of(&compiled);
-
-    // Base case: a full BMC run (fresh unroller) per candidate.
-    let mut alive: Vec<usize> = Vec::new();
-    for (i, res) in compiled.iter().enumerate() {
-        let Ok(prop) = res else { continue };
-        result.solver_calls += 1;
-        match bmc_rebuild(&ctx, &ts, prop, proven_lemmas, config.bmc_depth, &config.check) {
-            BmcResult::Clean { .. } => alive.push(i),
-            BmcResult::Falsified { .. } => {}
-        }
-    }
-
-    // Step fixpoint at k = 1 with a fresh unroller per iteration.
-    loop {
-        result.iterations += 1;
-        if alive.is_empty() {
-            break;
-        }
-        let mut unroller = Unroller::new(&ctx, &ts, false);
-        unroller.ensure_frame(1);
-        for &l in proven_lemmas {
-            let l0 = unroller.lit_at(0, l);
-            unroller.blaster_mut().assert_lit(l0);
-            let l1 = unroller.lit_at(1, l);
-            unroller.blaster_mut().assert_lit(l1);
-        }
-        let lits0: Vec<_> = alive
-            .iter()
-            .map(|&i| unroller.lit_at(0, exprs[i].expect("alive implies compiled")))
-            .collect();
-        let lits1: Vec<_> = alive
-            .iter()
-            .map(|&i| unroller.lit_at(1, exprs[i].expect("alive implies compiled")))
-            .collect();
-
-        let mut dropped_any = false;
-        let mut still_alive = alive.clone();
-        for (pos, _) in alive.iter().enumerate() {
-            if !still_alive.contains(&alive[pos]) {
-                continue;
-            }
-            let mut assumptions = Vec::with_capacity(lits0.len() + 1);
-            for (p, &l0) in lits0.iter().enumerate() {
-                if still_alive.contains(&alive[p]) {
-                    assumptions.push(l0);
-                }
-            }
-            assumptions.push(!lits1[pos]);
-            if let Some(b) = config.check.conflict_budget {
-                unroller.blaster_mut().solver_mut().set_conflict_budget(b);
-            }
-            result.solver_calls += 1;
-            match unroller.blaster_mut().solve_with_assumptions(&assumptions) {
-                SolveResult::Sat => {
-                    let model_false: Vec<usize> = alive
-                        .iter()
-                        .enumerate()
-                        .filter(|&(p, _)| {
-                            still_alive.contains(&alive[p])
-                                && unroller.blaster().solver().value(lits1[p]) == Some(false)
-                        })
-                        .map(|(_, &i)| i)
-                        .collect();
-                    still_alive.retain(|i| !model_false.contains(i));
-                    dropped_any = true;
-                }
-                SolveResult::Unsat => {}
-                SolveResult::Unknown => {
-                    still_alive.retain(|&i| i != alive[pos]);
-                    dropped_any = true;
-                }
-            }
-        }
-        alive = still_alive;
-        if !dropped_any {
-            break;
-        }
-    }
-
-    result.accepted = alive;
-    result
-}
-
 /// Runs the bounded-reachability base case for every alive candidate that
-/// has not had one yet ([`ProofSession::any_violation`], frame-by-frame
+/// has not had one yet ([`ProofSession::first_violation`], frame by frame
 /// with early exit, all on the session's persistent base solver),
 /// retiring and removing the violated ones. Returns whether anything was
 /// dropped (in which case the step fixpoint must re-run without the
@@ -389,7 +286,7 @@ fn base_check_survivors(
         }
         base_checked[i] = true;
         let e = exprs[i].expect("alive implies compiled");
-        if session.any_violation(e, depth) {
+        if session.first_violation(e, depth).is_some() {
             session.retire_selector(selectors[i].take().expect("alive has selector"));
             alive.retain(|&j| j != i);
             dropped = true;
@@ -410,13 +307,6 @@ fn base_check_survivors(
 /// `use_houdini` is set and some candidates were parked, the Houdini
 /// fixpoint then runs on that same session (inside a `flow.houdini`
 /// span), so the whole batch costs one bit-blast.
-///
-/// The two reference modes run the same stages without the shared
-/// session: [`EngineMode::RebuildPerQuery`] checks every candidate with
-/// fresh engines, and `CheckConfig::simple_path` validates each candidate
-/// on its own clone, because its distinct-state constraints quantify over
-/// every register, other candidates' monitors included. Both then run
-/// standalone [`houdini()`].
 pub fn validate_batch(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -429,22 +319,14 @@ pub fn validate_batch(
     }
     let obs = &config.check.obs;
     let validate_span = obs.span("flow.validate");
-    let per_candidate = config.check.simple_path;
     let (ctx, ts, compiled) = compile_on_clone(design, candidates);
-    // The reference modes answer without a shared session.
-    let mut session = (!per_candidate && config.engine == EngineMode::Incremental).then(|| {
-        let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
-        session.add_lemmas(proven_lemmas);
-        session
-    });
-    let mut outcomes: Vec<ValidationOutcome> = candidates
+    let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
+    session.add_lemmas(proven_lemmas);
+    let mut outcomes: Vec<ValidationOutcome> = compiled
         .iter()
-        .zip(&compiled)
-        .map(|(cand, res)| match (res, &mut session) {
-            _ if per_candidate => validate_candidate(design, proven_lemmas, cand, config),
-            (Err(e), _) => ValidationOutcome::CompileRejected(e.clone()),
-            (Ok(prop), Some(session)) => check_on_session(session, prop, config),
-            (Ok(prop), None) => check_with_rebuild(&ctx, &ts, prop, proven_lemmas, config),
+        .map(|res| match res {
+            Err(e) => ValidationOutcome::CompileRejected(e.clone()),
+            Ok(prop) => check_on_session(&mut session, prop, config),
         })
         .collect();
     drop(validate_span);
@@ -454,43 +336,28 @@ pub fn validate_batch(
     // adds: a candidate proven alone stays accepted whatever the fixpoint
     // says.
     let parked = |o: &ValidationOutcome| *o == ValidationOutcome::NotInductiveAlone;
-    let mut stats = SessionStats::default();
     if use_houdini && outcomes.iter().any(parked) {
         let _span = obs.span("flow.houdini");
-        let pool: Vec<usize> = (0..outcomes.len())
-            .filter(|&i| outcomes[i].is_proven() || parked(&outcomes[i]))
-            .collect();
-        let survivors: Vec<usize> = match &mut session {
-            Some(session) => {
-                let mut exprs = vec![None; compiled.len()];
-                for &i in &pool {
-                    exprs[i] = compiled[i].as_ref().ok().map(|p| p.ok);
-                }
-                houdini_on_session(session, &exprs, config.bmc_depth).accepted
+        let mut exprs = vec![None; compiled.len()];
+        for (i, outcome) in outcomes.iter().enumerate() {
+            if outcome.is_proven() || parked(outcome) {
+                exprs[i] = compiled[i].as_ref().ok().map(|p| p.ok);
             }
-            None => {
-                let members: Vec<Candidate> = pool.iter().map(|&i| candidates[i].clone()).collect();
-                let hres = houdini(design, proven_lemmas, &members, config);
-                stats.absorb(&hres.session);
-                hres.accepted.iter().map(|&p| pool[p]).collect()
-            }
-        };
-        for i in survivors {
+        }
+        for i in houdini_on_session(&mut session, &exprs, config.bmc_depth).accepted {
             if parked(&outcomes[i]) {
                 outcomes[i] = ValidationOutcome::ProvenInductive { k: 1 };
             }
         }
     }
-    if let Some(session) = &session {
-        stats = *session.stats();
-    }
     let accepted = (0..outcomes.len()).filter(|&i| outcomes[i].is_proven()).collect();
-    (accepted, outcomes, stats)
+    (accepted, outcomes, *session.stats())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_candidate;
     use genfv_obs::{Obs, ObsConfig, QueryKind};
     use genfv_sva::parse_assertion;
 

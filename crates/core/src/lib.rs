@@ -37,25 +37,21 @@
 //! mechanising the paper's "analyze the output from the LLM before using
 //! it productively" guidance.
 //!
-//! **Incremental proof sessions.** Every stage of the gauntlet runs on
-//! persistent [`genfv_mc::ProofSession`]s rather than engines rebuilt per
-//! query: [`validate_batch`] compiles a whole candidate batch onto one
-//! design clone and answers every candidate's checks on one session, on
-//! the caller's thread, then runs the Houdini fixpoint — hypothesis
-//! activation, batched obligations, retraction of falsified candidates,
-//! deferred base cases (cache hits by then) — on that same session.
-//! Standalone [`houdini()`] reports the hypotheses in the final proof's
-//! assumption core ([`HoudiniResult::carried`]), and the flows prove
-//! targets on shared sessions wherever the design is stable. The
-//! pre-session architecture survives behind
-//! [`genfv_mc::EngineMode::RebuildPerQuery`]
-//! (selectable through [`ValidateConfig::engine`] or
-//! [`FlowConfig::with_engine`]) as the reference for the corpus
-//! differential suite (`session_differential.rs` in `genfv-designs`); both
-//! modes produce identical verdicts, the incremental one just gets there
-//! without re-bit-blasting (`e0_ledger --ablate rebuild` prices the
-//! difference on service traffic). Solver-reuse counters surface in
-//! [`FlowMetrics::solver`].
+//! **One proof engine.** Every stage of the gauntlet and every target
+//! proof runs on persistent [`genfv_mc::ProofSession`]s rather than
+//! engines rebuilt per query: [`validate_batch`] compiles a whole
+//! candidate batch onto one design clone and answers every candidate's
+//! checks on one session, on the caller's thread, then runs the Houdini
+//! fixpoint — hypothesis activation, batched obligations, retraction of
+//! falsified candidates, deferred base cases (cache hits by then) — on
+//! that same session. Standalone [`houdini()`] reports the hypotheses in
+//! the final proof's assumption core ([`HoudiniResult::carried`]), and the
+//! flows prove targets on shared sessions wherever the design is stable.
+//! Solver-reuse counters surface in [`FlowMetrics::solver`]. The
+//! pre-session engine (`genfv_mc::rebuild`) runs in no library code path:
+//! the differential suites in `genfv-designs` check the gauntlet, Houdini and
+//! every flow answer against it (`session_differential.rs`,
+//! `houdini_differential.rs`).
 //!
 //! **Portfolio solving and corpus scheduling.** Any session query can be
 //! answered by racing jittered solver configurations on clones of the

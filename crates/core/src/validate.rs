@@ -18,10 +18,7 @@
 
 use crate::design::PreparedDesign;
 use genfv_ir::{Context, ExprRef, TransitionSystem};
-use genfv_mc::{
-    bmc_rebuild, prove_rebuild, BmcResult, CheckConfig, EngineMode, ProofSession, Property,
-    ProveResult,
-};
+use genfv_mc::{CheckConfig, ProofSession, Property, ProveResult};
 use genfv_sva::{Assertion, PropertyCompiler};
 
 /// Why (or how) a candidate survived or died.
@@ -83,20 +80,11 @@ pub struct ValidateConfig {
     pub bmc_depth: usize,
     /// Induction settings for candidate proofs.
     pub check: CheckConfig,
-    /// Which engine architecture answers the queries. The default
-    /// ([`EngineMode::Incremental`]) runs every check on persistent
-    /// [`ProofSession`]s; [`EngineMode::RebuildPerQuery`] is the reference
-    /// architecture kept for differential testing and benchmarking.
-    pub engine: EngineMode,
 }
 
 impl Default for ValidateConfig {
     fn default() -> Self {
-        ValidateConfig {
-            bmc_depth: 10,
-            check: CheckConfig { max_k: 4, ..Default::default() },
-            engine: EngineMode::Incremental,
-        }
+        ValidateConfig { bmc_depth: 10, check: CheckConfig { max_k: 4, ..Default::default() } }
     }
 }
 
@@ -126,9 +114,6 @@ pub fn validate_candidate(
         }
     };
     let prop = Property::new(candidate.name.clone(), compiled.ok);
-    if config.engine == EngineMode::RebuildPerQuery {
-        return check_with_rebuild(&ctx, &ts, &prop, proven_lemmas, config);
-    }
     let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
     session.add_lemmas(proven_lemmas);
     check_on_session(&mut session, &prop, config)
@@ -180,28 +165,6 @@ pub(crate) fn check_on_session(
         return ValidationOutcome::FalseByBmc { at };
     }
     match session.prove(prop) {
-        ProveResult::Proven { k, .. } => ValidationOutcome::ProvenInductive { k },
-        ProveResult::Falsified { at, .. } => ValidationOutcome::FalseByBmc { at },
-        ProveResult::StepFailure { .. } => ValidationOutcome::NotInductiveAlone,
-        ProveResult::Unknown { reason, .. } => ValidationOutcome::Unknown(reason),
-    }
-}
-
-/// The same gauntlet on the rebuild-per-query reference engine (fresh
-/// unrollers and solvers per check). Differential-testing twin of
-/// [`check_on_session`].
-pub(crate) fn check_with_rebuild(
-    ctx: &Context,
-    ts: &TransitionSystem,
-    prop: &Property,
-    proven_lemmas: &[ExprRef],
-    config: &ValidateConfig,
-) -> ValidationOutcome {
-    match bmc_rebuild(ctx, ts, prop, proven_lemmas, config.bmc_depth, &config.check) {
-        BmcResult::Falsified { at, .. } => return ValidationOutcome::FalseByBmc { at },
-        BmcResult::Clean { .. } => {}
-    }
-    match prove_rebuild(ctx, ts, prop, proven_lemmas, &config.check) {
         ProveResult::Proven { k, .. } => ValidationOutcome::ProvenInductive { k },
         ProveResult::Falsified { at, .. } => ValidationOutcome::FalseByBmc { at },
         ProveResult::StepFailure { .. } => ValidationOutcome::NotInductiveAlone,

@@ -1,141 +1,22 @@
 //! Differential test: the incremental (single-session, selector-based)
-//! Houdini must accept **exactly** the candidate subsets that the original
+//! Houdini must accept **exactly** the candidate subsets that the classic
 //! rebuild-per-iteration loop accepts, across the whole designs corpus.
 //!
-//! The reference implementation below is the pre-incremental algorithm
-//! preserved verbatim in spirit: a fresh [`Unroller`] (full re-bit-blast,
-//! brand-new solver) for every strengthening iteration, a separate `bmc`
-//! run per candidate base case, lemmas asserted rather than activated, and
-//! one solver query per alive candidate per sweep. Houdini's fixpoint (the
-//! unique maximal mutually-inductive subset) is canonical, so any sound
-//! implementation must land on the same set however it schedules queries —
-//! this test pins the new engine to that semantics on realistic inputs:
-//! the deterministic synthetic-LLM completions for each corpus design,
-//! which mix good lemmas, hallucinated signals, false invariants, and
-//! non-inductive truths.
+//! The reference is `common::reference_houdini`: a fresh unroller (full
+//! re-bit-blast, brand-new solver) for every strengthening iteration, a
+//! separate `bmc_rebuild` run per candidate base case, lemmas asserted
+//! rather than activated, and one solver query per alive candidate per
+//! sweep. Houdini's fixpoint (the unique maximal mutually-inductive
+//! subset) is canonical, so any sound implementation must land on the same
+//! set however it schedules queries — this test pins the session engine to
+//! that semantics on realistic inputs: the deterministic synthetic-LLM
+//! completions for each corpus design, which mix good lemmas, hallucinated
+//! signals, false invariants, and non-inductive truths.
 
-use genfv_core::{houdini, Candidate, PreparedDesign, ValidateConfig};
-use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
-use genfv_ir::ExprRef;
-use genfv_mc::{bmc, BmcResult, Property, Unroller};
-use genfv_sat::SolveResult;
-use genfv_sva::{parse_assertions, PropertyCompiler};
+use genfv_core::{houdini, ValidateConfig};
+use genfv_genai::ModelProfile;
 
-/// The original rebuild-per-iteration Houdini, kept as the semantic
-/// oracle. Returns accepted indices into `candidates`.
-fn reference_houdini(
-    design: &PreparedDesign,
-    proven_lemmas: &[ExprRef],
-    candidates: &[Candidate],
-    config: &ValidateConfig,
-) -> Vec<usize> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-
-    // Compile all candidates on one clone (they may share monitor state).
-    let mut ctx = design.ctx.clone();
-    let mut ts = design.ts.clone();
-    let mut exprs: Vec<Option<ExprRef>> = Vec::with_capacity(candidates.len());
-    {
-        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
-        for cand in candidates {
-            exprs.push(pc.compile(&cand.assertion).ok().map(|c| c.ok));
-        }
-    }
-
-    // Base case: a full BMC run per candidate.
-    let mut alive: Vec<usize> = Vec::new();
-    for (i, expr) in exprs.iter().enumerate() {
-        let Some(e) = expr else { continue };
-        let prop = Property::new(candidates[i].name.clone(), *e);
-        match bmc(&ctx, &ts, &prop, proven_lemmas, config.bmc_depth, &config.check) {
-            BmcResult::Clean { .. } => alive.push(i),
-            BmcResult::Falsified { .. } => {}
-        }
-    }
-
-    // Step fixpoint at k = 1 with a fresh unroller per iteration.
-    loop {
-        if alive.is_empty() {
-            break;
-        }
-        let mut unroller = Unroller::new(&ctx, &ts, false);
-        unroller.ensure_frame(1);
-        for &l in proven_lemmas {
-            let l0 = unroller.lit_at(0, l);
-            unroller.blaster_mut().assert_lit(l0);
-            let l1 = unroller.lit_at(1, l);
-            unroller.blaster_mut().assert_lit(l1);
-        }
-        let lits0: Vec<_> = alive
-            .iter()
-            .map(|&i| unroller.lit_at(0, exprs[i].expect("alive implies compiled")))
-            .collect();
-        let lits1: Vec<_> = alive
-            .iter()
-            .map(|&i| unroller.lit_at(1, exprs[i].expect("alive implies compiled")))
-            .collect();
-
-        let mut dropped_any = false;
-        let mut still_alive = alive.clone();
-        for (pos, _) in alive.iter().enumerate() {
-            if !still_alive.contains(&alive[pos]) {
-                continue;
-            }
-            let mut assumptions = Vec::with_capacity(lits0.len() + 1);
-            for (p, &l0) in lits0.iter().enumerate() {
-                if still_alive.contains(&alive[p]) {
-                    assumptions.push(l0);
-                }
-            }
-            assumptions.push(!lits1[pos]);
-            match unroller.blaster_mut().solve_with_assumptions(&assumptions) {
-                SolveResult::Sat => {
-                    let model_false: Vec<usize> = alive
-                        .iter()
-                        .enumerate()
-                        .filter(|&(p, _)| {
-                            still_alive.contains(&alive[p])
-                                && unroller.blaster().solver().value(lits1[p]) == Some(false)
-                        })
-                        .map(|(_, &i)| i)
-                        .collect();
-                    still_alive.retain(|i| !model_false.contains(i));
-                    dropped_any = true;
-                }
-                SolveResult::Unsat => {}
-                SolveResult::Unknown => {
-                    still_alive.retain(|&i| i != alive[pos]);
-                    dropped_any = true;
-                }
-            }
-        }
-        alive = still_alive;
-        if !dropped_any {
-            break;
-        }
-    }
-    alive
-}
-
-/// Candidate pool for a design: the deterministic Flow-1 completion of the
-/// synthetic GPT-4-class model, exactly as the flows would parse it.
-fn corpus_candidates(bundle: &genfv_designs::DesignBundle) -> Vec<Candidate> {
-    let targets: Vec<String> = bundle.targets.iter().map(|(_, sva)| sva.clone()).collect();
-    let prompt = Prompt::flow1(bundle.spec, bundle.rtl, &targets);
-    let mut llm = SyntheticLlm::new(ModelProfile::GptFourTurbo, 42);
-    let completion = llm.complete(&prompt);
-    parse_assertions(&completion.text)
-        .into_iter()
-        .enumerate()
-        .map(|(i, assertion)| {
-            let name = assertion.name.clone().unwrap_or_else(|| format!("candidate_{i}"));
-            let text = genfv_sva::render_prop_body(&assertion.body);
-            Candidate { name, text, assertion }
-        })
-        .collect()
-}
+mod common;
 
 #[test]
 fn incremental_houdini_matches_rebuild_reference_on_corpus() {
@@ -144,12 +25,12 @@ fn incremental_houdini_matches_rebuild_reference_on_corpus() {
     let mut accepted_total = 0;
     for bundle in genfv_designs::all_designs() {
         let design = bundle.prepare().expect("corpus designs prepare");
-        let candidates = corpus_candidates(&bundle);
+        let candidates = common::corpus_candidates(&bundle, ModelProfile::GptFourTurbo);
         if !candidates.is_empty() {
             nonempty_pools += 1;
         }
         let incremental = houdini(&design, &[], &candidates, &config);
-        let reference = reference_houdini(&design, &[], &candidates, &config);
+        let reference = common::reference_houdini(&design, &[], &candidates, &config);
         assert_eq!(
             incremental.accepted,
             reference,
@@ -165,18 +46,6 @@ fn incremental_houdini_matches_rebuild_reference_on_corpus() {
             bundle.name,
             incremental.carried,
             incremental.accepted
-        );
-        // Core's selectable rebuild engine must land on the same set as
-        // this test's independent oracle.
-        let rebuild_cfg = ValidateConfig {
-            engine: genfv_mc::EngineMode::RebuildPerQuery,
-            ..ValidateConfig::default()
-        };
-        let core_rebuild = houdini(&design, &[], &candidates, &rebuild_cfg);
-        assert_eq!(
-            core_rebuild.accepted, reference,
-            "rebuild-mode divergence on `{}`",
-            bundle.name
         );
         assert!(
             candidates.is_empty() || incremental.session.bitblasts == 1,

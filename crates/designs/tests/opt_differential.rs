@@ -215,19 +215,19 @@ fn flow2_verdicts_never_regress() {
 
 /// Warm-capital isolation: a seed built over the optimized netlist must
 /// not be adoptable by a session over the unoptimized one prepared from
-/// the very same sources (and vice versa) — the opt-level salt keeps the
-/// fingerprints apart even when hash-consing happens to give both
-/// layouts the same shape. On the datapath designs the layouts diverge
-/// anyway (a register is merged away), so the unsalted cross-`matches`
-/// must fail too: each seed here carries the salt it was built with.
+/// the very same sources (and vice versa). On the datapath designs the
+/// layouts differ (a register is merged away), so the fingerprints do.
+/// Where two layouts could coincide, the service keeps opt levels apart
+/// by the cache key, which carries `OptLevel::salt`; a seed carries no
+/// salt.
 #[test]
 fn opt_level_salts_isolate_session_seeds() {
     use genfv_mc::SessionSeed;
     for bundle in genfv_designs::datapath_designs() {
         let base = baseline_prep(&bundle);
         let opt = optimized_prep(&bundle);
-        let base_seed = SessionSeed::for_design_salted(&base.ctx, &base.ts, base.opt.level.salt());
-        let opt_seed = SessionSeed::for_design_salted(&opt.ctx, &opt.ts, opt.opt.level.salt());
+        let base_seed = SessionSeed::for_design(&base.ctx, &base.ts);
+        let opt_seed = SessionSeed::for_design(&opt.ctx, &opt.ts);
         assert!(base_seed.matches(&base.ctx, &base.ts));
         assert!(opt_seed.matches(&opt.ctx, &opt.ts));
         assert!(!base_seed.matches(&opt.ctx, &opt.ts), "{}", bundle.name);

@@ -9,22 +9,23 @@
 //! per-signal trace *values* may differ between engines; everything the
 //! flows branch on is pinned here.
 //!
-//! The flow-level tests at the bottom run the complete Flow-1 and Flow-2
-//! loops (validation gauntlet on one session per candidate batch, Houdini
-//! on that same session, target proofs) in both engine modes and require
-//! identical verdicts and identical accepted-lemma sets — the acceptance
-//! criterion for the incremental-session work.
+//! The session engine is the only one the flows run, so the tests at the
+//! bottom hold the flows to the reference engine directly: the validation
+//! gauntlet against `common::reference_gauntlet` on identical candidate
+//! pools, and every answer of complete Flow 1, Flow 2 and Combined runs
+//! re-checked by `common::recheck_flow` — the accepted lemmas prove, and
+//! each verdict reproduces at its reported depth or cycle.
 
 use genfv_core::{
-    run_baseline, run_flow1, run_flow2, validate_batch, Candidate, FlowConfig, PreparedDesign,
-    TargetOutcome, ValidateConfig,
+    run_baseline, run_combined, run_flow1, run_flow2, validate_batch, Candidate, FlowConfig,
+    FlowReport, OptConfig, OptLevel, PreparedDesign, TargetOutcome, ValidateConfig,
 };
-use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
+use genfv_genai::{LanguageModel, ModelProfile, SyntheticLlm};
 use genfv_mc::{
-    bmc_rebuild, prove_all_rebuild, prove_rebuild, BmcResult, CheckConfig, EngineMode, KInduction,
+    bmc_rebuild, prove_all_rebuild, prove_rebuild, BmcResult, CheckConfig, KInduction,
     ProofSession, ProveResult,
 };
-use genfv_sva::{parse_assertion, parse_assertions};
+use genfv_sva::parse_assertion;
 
 mod common;
 
@@ -125,77 +126,28 @@ fn prove_all_matches_rebuild_on_corpus() {
     }
 }
 
-fn assert_outcome_eq(a: &TargetOutcome, b: &TargetOutcome, what: &str) {
-    match (a, b) {
-        (
-            TargetOutcome::Proven { k: ka, lemmas_used: la },
-            TargetOutcome::Proven { k: kb, lemmas_used: lb },
-        ) => {
-            assert_eq!(ka, kb, "proof depth diverged on {what}");
-            assert_eq!(la, lb, "lemma count diverged on {what}");
-        }
-        (TargetOutcome::Falsified { at: aa }, TargetOutcome::Falsified { at: ab }) => {
-            assert_eq!(aa, ab, "violation cycle diverged on {what}");
-        }
-        (
-            TargetOutcome::StillUnproven { k: ka, .. },
-            TargetOutcome::StillUnproven { k: kb, .. },
-        ) => {
-            assert_eq!(ka, kb, "final step depth diverged on {what}");
-        }
-        (TargetOutcome::Unknown { reason: ra }, TargetOutcome::Unknown { reason: rb }) => {
-            assert_eq!(ra, rb, "unknown reason diverged on {what}");
-        }
-        (a, b) => panic!("flow outcome diverged on {what}: incremental {a:?} vs rebuild {b:?}"),
-    }
-}
-
 fn candidate(name: &str, text: &str) -> Candidate {
     let assertion = parse_assertion(text).expect("candidate parses");
     Candidate { name: name.to_string(), text: text.to_string(), assertion }
 }
 
-/// The deterministic Flow-1 candidate pool of a design under `profile`
-/// (the prompt depends only on spec + RTL + targets, so both engine modes
-/// see the byte-identical completion).
-fn corpus_candidates(
-    bundle: &genfv_designs::DesignBundle,
-    profile: ModelProfile,
-) -> Vec<Candidate> {
-    let targets: Vec<String> = bundle.targets.iter().map(|(_, sva)| sva.clone()).collect();
-    let prompt = Prompt::flow1(bundle.spec, bundle.rtl, &targets);
-    let mut llm = SyntheticLlm::new(profile, 42);
-    let completion = llm.complete(&prompt);
-    parse_assertions(&completion.text)
-        .into_iter()
-        .enumerate()
-        .map(|(i, assertion)| {
-            let name = assertion.name.clone().unwrap_or_else(|| format!("candidate_{i}"));
-            let text = genfv_sva::render_prop_body(&assertion.body);
-            Candidate { name, text, assertion }
-        })
-        .collect()
-}
-
 /// The whole validation gauntlet (every candidate of a batch and then
-/// Houdini on one shared session) over identical candidate pools from
-/// every model profile: per-candidate outcomes — including the exact `k`
-/// of every `ProvenInductive` and the exact cycle of every `FalseByBmc` —
-/// must be equal in both engine modes. The hallucinating profiles put
-/// compile rejects and false candidates into the shared session next to
-/// the accepted ones.
+/// Houdini on one shared session) against the reference gauntlet on
+/// fresh engines, over identical candidate pools from every model
+/// profile: per-candidate outcomes — including the exact `k` of every
+/// `ProvenInductive` and the exact cycle of every `FalseByBmc` — must be
+/// equal. The hallucinating profiles put compile rejects and false
+/// candidates into the shared session next to the accepted ones.
 #[test]
 fn validate_batch_outcomes_identical_across_engines() {
-    let incremental_cfg = ValidateConfig::default();
-    let rebuild_cfg =
-        ValidateConfig { engine: EngineMode::RebuildPerQuery, ..ValidateConfig::default() };
+    let config = ValidateConfig::default();
     let mut candidates_checked = 0;
     let mut rejected = 0;
     for bundle in genfv_designs::all_designs() {
         let design = bundle.prepare().expect("corpus designs prepare");
         let mut pools: Vec<(String, Vec<Candidate>)> = ModelProfile::ALL
             .iter()
-            .map(|&profile| (format!("{profile:?}"), corpus_candidates(&bundle, profile)))
+            .map(|&profile| (format!("{profile:?}"), common::corpus_candidates(&bundle, profile)))
             .collect();
         if bundle.name == "sync_counters" {
             // A false candidate twice in one batch: both copies compile to
@@ -207,13 +159,13 @@ fn validate_batch_outcomes_identical_across_engines() {
         }
         for (source, candidates) in pools {
             let what = format!("{} under {source}", bundle.name);
-            let (acc_i, out_i, _) =
-                validate_batch(&design, &[], &candidates, &incremental_cfg, true);
-            let (acc_r, out_r, _) = validate_batch(&design, &[], &candidates, &rebuild_cfg, true);
-            assert_eq!(acc_i, acc_r, "accepted sets diverged on {what}");
-            assert_eq!(out_i, out_r, "validation outcomes diverged on {what}");
+            let (acc_s, out_s, _) = validate_batch(&design, &[], &candidates, &config, true);
+            let (acc_r, out_r) =
+                common::reference_gauntlet(&design, &[], &candidates, &config, true);
+            assert_eq!(acc_s, acc_r, "accepted sets diverged on {what}");
+            assert_eq!(out_s, out_r, "validation outcomes diverged on {what}");
             candidates_checked += candidates.len();
-            rejected += out_i.iter().filter(|o| !o.is_proven()).count();
+            rejected += out_s.iter().filter(|o| !o.is_proven()).count();
         }
     }
     assert!(candidates_checked >= 20, "the corpus should contribute real candidate pools");
@@ -225,7 +177,7 @@ fn validate_batch_outcomes_identical_across_engines() {
 /// guard past k=1; the second attempt must not reuse that guard, or its
 /// k=1 step query assumes the very frame it asks about and proves a false
 /// property. `count1` reaches 49 at cycle 49, beyond `max_k`, so both
-/// targets end unproven in both engine modes.
+/// targets end unproven, at the depth where fresh engines fail the step.
 #[test]
 fn duplicate_targets_share_one_baseline_verdict() {
     let bundle = genfv_designs::by_name("sync_counters").expect("corpus design");
@@ -233,96 +185,79 @@ fn duplicate_targets_share_one_baseline_verdict() {
         .map(|(name, sva)| (name.to_string(), sva.to_string()));
     let design = PreparedDesign::new(bundle.name, bundle.rtl, bundle.spec, &targets)
         .expect("sync_counters prepares");
-    let incremental = run_baseline(&design, &FlowConfig::default());
-    let rebuild =
-        run_baseline(&design, &FlowConfig::default().with_engine(EngineMode::RebuildPerQuery));
-    for (ti, tr) in incremental.targets.iter().zip(&rebuild.targets) {
-        assert!(
-            matches!(ti.outcome, TargetOutcome::StillUnproven { .. }),
-            "{}: {:?}",
-            ti.name,
-            ti.outcome
-        );
-        assert_outcome_eq(&ti.outcome, &tr.outcome, &ti.name);
-    }
-}
-
-/// Flow 1 end to end: its prompt carries no counterexample, so the two
-/// engine modes run on byte-identical completions and must agree on
-/// everything — target verdicts (with depths and lemma counts) and the
-/// accepted-lemma list itself.
-#[test]
-fn flow1_identical_across_engines() {
-    for bundle in genfv_designs::lemma_hungry_designs() {
-        let incremental = run_flow1(
-            bundle.prepare().expect("corpus designs prepare"),
-            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-            &FlowConfig::default(),
-        );
-        let rebuild = run_flow1(
-            bundle.prepare().expect("corpus designs prepare"),
-            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-            &FlowConfig::default().with_engine(EngineMode::RebuildPerQuery),
-        );
-        assert_eq!(incremental.targets.len(), rebuild.targets.len());
-        for (ti, tr) in incremental.targets.iter().zip(&rebuild.targets) {
-            assert_eq!(ti.name, tr.name);
-            assert_outcome_eq(&ti.outcome, &tr.outcome, &format!("{}::{}", bundle.name, ti.name));
+    let config = FlowConfig::default();
+    let report = run_baseline(&design, &config);
+    for (target, reported) in design.targets.iter().zip(&report.targets) {
+        let reference = prove_rebuild(&design.ctx, &design.ts, &target.prop, &[], &config.check);
+        match (&reported.outcome, &reference) {
+            (TargetOutcome::StillUnproven { k, .. }, ProveResult::StepFailure { k: r, .. }) => {
+                assert_eq!(k, r, "{}: step-failure depth", target.name)
+            }
+            (session, rebuild) => {
+                panic!("{}: session {session:?}, rebuild {rebuild:?}", target.name)
+            }
         }
-        let lemmas_i: Vec<&str> = incremental.lemmas.iter().map(|l| l.text.as_str()).collect();
-        let lemmas_r: Vec<&str> = rebuild.lemmas.iter().map(|l| l.text.as_str()).collect();
-        assert_eq!(lemmas_i, lemmas_r, "accepted lemmas diverged on {}", bundle.name);
-        assert!(
-            incremental.metrics.solver.bitblasts > 0,
-            "incremental mode must report session reuse on {}",
-            bundle.name
-        );
     }
 }
 
-/// The full Flow-2 repair loop in both engine modes, under every model
-/// profile: the chattier and noisier the model, the more candidates per
-/// completion and the more closely related queries per design. Flow 2's
-/// prompts embed induction-step counterexamples, and SAT models are not
-/// unique — the two engines legitimately show the LLM different (equally
-/// valid) CEXs, so the *candidate pools* may differ. What is semantically
-/// determined, and pinned here, is the verdict: which targets end up
-/// proven / falsified / unproven, and the exact cycle of any real
-/// counterexample.
-#[test]
-fn flow2_verdict_classes_identical_across_engines() {
+/// One of the flows under test.
+type Flow = fn(PreparedDesign, &mut dyn LanguageModel, &FlowConfig) -> FlowReport;
+
+/// Runs `flow` on every flow design under every model profile at the
+/// default prepare, on the lemma-hungry designs at `OptLevel::None`
+/// (plain induction, where most runs need lemmas) under one profile, and
+/// on the seeded-bug design (so a falsification is re-checked too), and
+/// re-checks every answer on the reference engine. Returns how many runs
+/// there were and how many of them carried lemmas (26 of 49 for each
+/// flow when this was written), so that a caller can tell the lemma
+/// checks were not vacuous.
+fn recheck_matrix(flow: Flow) -> (usize, usize) {
+    let config = FlowConfig::default();
+    let plain = OptConfig::default().with_level(OptLevel::None);
+    let mut runs: Vec<(genfv_designs::DesignBundle, OptConfig, ModelProfile)> = Vec::new();
     for profile in ModelProfile::ALL {
         for bundle in common::flow_designs() {
-            let what = format!("{} under {profile:?}", bundle.name);
-            let incremental = run_flow2(
-                bundle.prepare().expect("corpus designs prepare"),
-                &mut SyntheticLlm::new(profile, 42),
-                &FlowConfig::default(),
-            );
-            let rebuild = run_flow2(
-                bundle.prepare().expect("corpus designs prepare"),
-                &mut SyntheticLlm::new(profile, 42),
-                &FlowConfig::default().with_engine(EngineMode::RebuildPerQuery),
-            );
-            assert_eq!(incremental.targets.len(), rebuild.targets.len());
-            assert_eq!(
-                incremental.all_proven(),
-                rebuild.all_proven(),
-                "overall verdict diverged on {what}"
-            );
-            for (ti, tr) in incremental.targets.iter().zip(&rebuild.targets) {
-                assert_eq!(ti.name, tr.name);
-                assert_eq!(
-                    common::outcome_class(&ti.outcome),
-                    common::outcome_class(&tr.outcome),
-                    "verdict diverged on {what}::{}",
-                    ti.name
-                );
-            }
-            assert_eq!(
-                rebuild.metrics.solver.solver_calls, 0,
-                "rebuild mode must not touch the session counters on {what}"
-            );
+            runs.push((bundle, OptConfig::default(), profile));
         }
     }
+    for bundle in genfv_designs::lemma_hungry_designs() {
+        runs.push((bundle, plain, ModelProfile::GptFourTurbo));
+    }
+    let buggy = genfv_designs::by_name("desync_counters").expect("corpus design");
+    runs.push((buggy, OptConfig::default(), ModelProfile::GptFourTurbo));
+    let mut with_lemmas = 0;
+    for (bundle, opt, profile) in &runs {
+        let prepare = || bundle.prepare_with(opt).expect("corpus designs prepare");
+        let report = flow(prepare(), &mut SyntheticLlm::new(*profile, 42), &config);
+        common::recheck_flow(prepare(), &report, &config);
+        with_lemmas += usize::from(!report.lemmas.is_empty());
+    }
+    (runs.len(), with_lemmas)
+}
+
+/// Flow 1 end to end: every answer — the accepted lemmas, each target's
+/// verdict with its depth, lemma count or cycle — holds on the reference
+/// engine.
+#[test]
+fn flow1_identical_across_engines() {
+    let (runs, with_lemmas) = recheck_matrix(run_flow1);
+    assert!(with_lemmas * 3 >= runs, "{with_lemmas} of {runs} runs carry lemmas");
+}
+
+/// The full Flow-2 repair loop, under every model profile (the chattier
+/// and noisier the model, the more candidates per completion and the more
+/// closely related queries per design), re-checked answer by answer on
+/// the reference engine.
+#[test]
+fn flow2_verdict_classes_identical_across_engines() {
+    let (runs, with_lemmas) = recheck_matrix(run_flow2);
+    assert!(with_lemmas * 3 >= runs, "{with_lemmas} of {runs} runs carry lemmas");
+}
+
+/// Combined (Flow 1's upfront lemmas, then Flow 2's repairs), re-checked
+/// answer by answer on the reference engine.
+#[test]
+fn combined_answers_hold_on_the_reference_engine() {
+    let (runs, with_lemmas) = recheck_matrix(run_combined);
+    assert!(with_lemmas * 3 >= runs, "{with_lemmas} of {runs} runs carry lemmas");
 }

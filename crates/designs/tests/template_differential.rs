@@ -180,28 +180,6 @@ fn datapath_designs_match_across_modes() {
     }
 }
 
-/// Simple-path constraints on stamped frames: completeness-critical
-/// clauses built from state-slot literals must agree with the reference.
-#[test]
-fn simple_path_proofs_match_across_modes() {
-    for bundle in genfv_designs::all_designs() {
-        let design = bundle.prepare().expect("corpus designs prepare");
-        let sp = |mode: UnrollMode| CheckConfig {
-            max_k: 3,
-            simple_path: true,
-            unroll_mode: mode,
-            ..Default::default()
-        };
-        let mut tpl_session = ProofSession::new(&design.ctx, &design.ts, sp(UnrollMode::Template));
-        let mut dag_session = ProofSession::new(&design.ctx, &design.ts, sp(UnrollMode::DagWalk));
-        for target in &design.targets {
-            let t = tpl_session.prove(&target.prop);
-            let d = dag_session.prove(&target.prop);
-            assert_prove_eq(&t, &d, &format!("{}::{} (simple path)", bundle.name, target.name));
-        }
-    }
-}
-
 /// Lemmas installed mid-session (after frames already exist) must scope
 /// identically: install the first target as a lemma once proven, then
 /// re-check the remaining targets.

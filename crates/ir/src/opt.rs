@@ -82,10 +82,10 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// A level-specific salt mixed into session fingerprints and service
-    /// cache keys, so warm capital built from an optimized system is never
-    /// adopted by (or served to) a differently-optimized copy of the same
-    /// source design. `None` salts to 0, keeping legacy fingerprints valid.
+    /// A level-specific salt mixed into the service's cache keys, so warm
+    /// capital built from an optimized system is never served to a
+    /// differently-optimized copy of the same source design. `None` salts
+    /// to 0.
     pub fn salt(self) -> u64 {
         match self {
             OptLevel::None => 0,

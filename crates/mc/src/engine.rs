@@ -132,10 +132,6 @@ impl ProveResult {
 pub struct CheckConfig {
     /// Maximum induction depth to attempt.
     pub max_k: usize,
-    /// Add pairwise-distinct-state constraints in the step case (makes
-    /// k-induction complete for finite systems but is quadratic; the
-    /// paper's flow instead strengthens with lemmas, so default off).
-    pub simple_path: bool,
     /// Conflict budget per solver query (`None` = unlimited; in portfolio
     /// mode the budget caps each racing worker).
     pub conflict_budget: Option<u64>,
@@ -180,7 +176,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             max_k: 10,
-            simple_path: false,
             conflict_budget: None,
             portfolio: None,
             unroll_mode: crate::unroll::UnrollMode::default(),

@@ -24,9 +24,9 @@
 //!   overhead, the variance-prone tail escalates to a deterministic
 //!   first-winner race, and the winner's solver (with the losers' shared
 //!   glue clauses) becomes the session's solver for the next query;
-//! * **a rebuild-per-query reference engine** ([`rebuild`],
-//!   [`EngineMode`]) — the pre-session architecture preserved verbatim
-//!   as the oracle of the session differential suite;
+//! * **a rebuild-per-query reference engine** ([`rebuild`]) — the
+//!   pre-session architecture, which no library code runs: the session
+//!   differential suite checks sessions and every flow answer against it;
 //! * incremental time-frame expansion with one solver per direction;
 //! * **helper-lemma support** — proven assertions are assumed at every
 //!   frame of the step case, exactly how the paper's generated lemmas
@@ -34,7 +34,6 @@
 //! * **induction-step counterexamples** ([`TraceKind::InductionStep`]) with
 //!   full signal traces, ASCII waveforms ([`render_waveform`]) in the
 //!   spirit of the paper's Fig. 3, and VCD export;
-//! * optional simple-path (unique-states) constraints;
 //! * per-query conflict budgets for graceful `Unknown` answers.
 //!
 //! ```

@@ -3,16 +3,12 @@
 //! This module preserves the pre-session architecture: every check builds
 //! fresh [`Unroller`]s (a full re-bit-blast plus brand-new solvers that
 //! must re-learn everything) and asserts lemmas permanently. It exists for
-//! **differential testing**: [`ProofSession`](crate::ProofSession) must
-//! return identical verdicts, depths, and counterexamples; the
-//! `session_differential` suite in `genfv-designs` pins that across the
-//! corpus, down to the Flow-2 repair loop under every model profile.
-//! `e0_ledger --ablate rebuild` prices the session engine's win on
-//! service traffic.
-//!
-//! Production code paths should use [`ProofSession`](crate::ProofSession)
-//! (or the thin wrappers in [`crate::engine`], which delegate to it).
-//! Select this engine through [`EngineMode::RebuildPerQuery`].
+//! **differential testing** only: [`ProofSession`](crate::ProofSession),
+//! the one engine the flows run, must return identical verdicts, depths,
+//! and counterexamples. The `session_differential` suite in
+//! `genfv-designs` pins that across the corpus and re-checks every flow
+//! answer (accepted lemmas, proof depths, counterexample cycles) on these
+//! functions.
 
 use crate::engine::{BmcResult, CheckConfig, CheckStats, Property, ProveResult};
 use crate::trace::{read_symbol_cycles, Trace, TraceKind};
@@ -21,19 +17,17 @@ use genfv_ir::{Context, ExprRef, TransitionSystem};
 use genfv_sat::SolveResult;
 use std::time::Instant;
 
-/// Which engine architecture answers solver queries.
-///
-/// The verdicts are identical either way (pinned by the differential
-/// suite); only the work profile differs.
+/// Ignored; kept because `e0_ledger` names it (through
+/// `FlowConfig::with_engine` in `genfv-core`); delete with the next
+/// benchmark change. Every flow runs on
+/// [`ProofSession`](crate::ProofSession); only the differential tests call
+/// this module's functions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One persistent [`ProofSession`](crate::ProofSession) per design
-    /// (one bit-blast, assumption-scoped queries, retained learnt
-    /// clauses). The production default.
+    /// Persistent sessions, the only engine the flows run.
     #[default]
     Incremental,
-    /// Fresh unrollers and solvers per logical check — the reference
-    /// architecture in this module.
+    /// Ignored: the flows no longer have a rebuild-per-query mode.
     RebuildPerQuery,
 }
 
@@ -182,9 +176,6 @@ pub fn prove_rebuild(
         // because deeper iterations only extend the window).
         let ok_prev = step.lit_at(k - 1, property.ok);
         step.blaster_mut().assert_lit(ok_prev);
-        if config.simple_path {
-            step.assert_simple_path(k);
-        }
         let bad_step = {
             let ok = step.lit_at(k, property.ok);
             !ok

@@ -103,14 +103,8 @@ use std::time::Instant;
 /// answer differently on queries both complete.
 #[derive(Debug)]
 pub struct SessionSeed {
-    /// Layout fingerprint of the design this seed belongs to, XORed with
-    /// `salt` at construction.
+    /// Layout fingerprint of the design this seed belongs to.
     fingerprint: u64,
-    /// Caller-supplied discriminator mixed into the fingerprint (the
-    /// service passes the design's `OptLevel` salt so warm capital built
-    /// from an optimized system is never adopted by a differently-optimized
-    /// copy of the same source, even if their layouts collide).
-    salt: u64,
     /// The shared step-direction template, built by the first seeded
     /// session that needs it.
     template: Mutex<Option<Arc<Template>>>,
@@ -124,31 +118,15 @@ pub struct SessionSeed {
 }
 
 impl SessionSeed {
-    /// Creates an empty seed for the given design (salt 0).
+    /// Creates an empty seed for the given design.
     pub fn for_design(ctx: &Context, ts: &TransitionSystem) -> Arc<SessionSeed> {
-        Self::for_design_salted(ctx, ts, 0)
-    }
-
-    /// Creates an empty seed whose fingerprint additionally carries a
-    /// caller-chosen `salt` (e.g. [`genfv_ir::OptLevel::salt`]). Sessions
-    /// over the same `(ctx, ts)` layout still adopt the seed — the salt is
-    /// accounted for in [`SessionSeed::matches`] — but two seeds with
-    /// different salts never report the same fingerprint.
-    pub fn for_design_salted(ctx: &Context, ts: &TransitionSystem, salt: u64) -> Arc<SessionSeed> {
         Arc::new(SessionSeed {
-            fingerprint: Self::fingerprint(ctx, ts) ^ salt,
-            salt,
+            fingerprint: Self::fingerprint(ctx, ts),
             template: Mutex::new(None),
             clean: Mutex::new(HashMap::new()),
             template_reuses: AtomicU64::new(0),
             template_builds: AtomicU64::new(0),
         })
-    }
-
-    /// The salt this seed was created with (0 unless the creator passed
-    /// one via [`SessionSeed::for_design_salted`]).
-    pub fn salt(&self) -> u64 {
-        self.salt
     }
 
     /// A layout fingerprint: every hash-consed node's content plus the
@@ -185,10 +163,9 @@ impl SessionSeed {
         h
     }
 
-    /// Whether this seed was built for a design with this layout (the
-    /// seed's own salt is accounted for).
+    /// Whether this seed was built for a design with this layout.
     pub fn matches(&self, ctx: &Context, ts: &TransitionSystem) -> bool {
-        self.fingerprint == Self::fingerprint(ctx, ts) ^ self.salt
+        self.fingerprint == Self::fingerprint(ctx, ts)
     }
 
     /// The shared template, building it on first use. Callers must have
@@ -390,10 +367,6 @@ pub struct ProofSession<'c> {
     /// The clean depths that came in from the seed, kept apart from
     /// locally-discovered ones so seed hits are attributable.
     seeded_clean: HashMap<ExprRef, usize>,
-    /// Simple-path activation literal (created on first use, step side).
-    sp_guard: Option<Lit>,
-    /// Simple-path pairs exist for all `(i, j)` with `j <= sp_frames`.
-    sp_frames: usize,
     /// Selector allocator/bookkeeper for the step solver (hypotheses,
     /// violation witnesses); lives in `genfv-sat`.
     selectors: ActivationGroup,
@@ -457,8 +430,6 @@ impl<'c> ProofSession<'c> {
             step_prop_guards: std::collections::HashMap::new(),
             seed,
             seeded_clean,
-            sp_guard: None,
-            sp_frames: 0,
             selectors: ActivationGroup::new(),
             last_effort: QueryEffort::default(),
             stats,
@@ -701,7 +672,7 @@ impl<'c> ProofSession<'c> {
         Trace::from_symbol_cycles(self.ctx, self.ts, name, kind, &cycles)
     }
 
-    fn drain_check_stats(&mut self, _dir: Dir, stats: &mut CheckStats) {
+    fn drain_check_stats(&self, stats: &mut CheckStats) {
         let e = self.last_effort;
         stats.conflicts += e.conflicts;
         stats.decisions += e.decisions;
@@ -716,19 +687,8 @@ impl<'c> ProofSession<'c> {
         let _span = self.config.obs.span_with("bmc", || format!("{} depth={depth}", property.name));
         let start = Instant::now();
         let mut stats = CheckStats::default();
-        let skip = self.clean_upto.get(&property.ok).copied();
         for k in 0..=depth {
-            if skip.is_some_and(|clean| k <= clean) {
-                // Proven clean by an earlier query on this session (or by
-                // a previous session that published into the seed).
-                self.note_clean_skip(property.ok, k);
-                continue;
-            }
-            self.ensure_frames_dir(Dir::Base, k);
-            let bad = !self.base.lit_at(k, property.ok);
-            let res = self.solve_on(Dir::Base, k, &[bad]);
-            self.drain_check_stats(Dir::Base, &mut stats);
-            match res {
+            match self.base_case(property.ok, k, &mut stats) {
                 SolveResult::Sat => {
                     let trace = self.trace(
                         Dir::Base,
@@ -739,7 +699,7 @@ impl<'c> ProofSession<'c> {
                     stats.duration = start.elapsed();
                     return BmcResult::Falsified { at: k, trace, stats };
                 }
-                SolveResult::Unsat => self.record_clean(property.ok, k),
+                SolveResult::Unsat => {}
                 SolveResult::Unknown => {
                     // Budget exhausted: report what we know (clean so far).
                     stats.duration = start.elapsed();
@@ -749,6 +709,28 @@ impl<'c> ProofSession<'c> {
         }
         stats.duration = start.elapsed();
         BmcResult::Clean { depth, stats }
+    }
+
+    /// The one base-case step of [`ProofSession::bmc_check`],
+    /// [`ProofSession::first_violation`] and [`ProofSession::prove`]: is
+    /// `ok` violated at cycle `k` from reset? A cycle already proven clean
+    /// (by an earlier query on this session, or by a previous session that
+    /// published into the seed) answers `Unsat` with no solve. Otherwise
+    /// the base solver answers, its effort goes into `stats`, and an
+    /// `Unsat` answer is recorded as clean.
+    fn base_case(&mut self, ok: ExprRef, k: usize, stats: &mut CheckStats) -> SolveResult {
+        if self.clean_upto.get(&ok).is_some_and(|&clean| k <= clean) {
+            self.note_clean_skip(ok, k);
+            return SolveResult::Unsat;
+        }
+        self.ensure_frames_dir(Dir::Base, k);
+        let bad = !self.base.lit_at(k, ok);
+        let res = self.solve_on(Dir::Base, k, &[bad]);
+        self.drain_check_stats(stats);
+        if res.is_unsat() {
+            self.record_clean(ok, k);
+        }
+        res
     }
 
     /// Records that `ok` has no violation at cycle `k` from reset (an
@@ -776,30 +758,15 @@ impl<'c> ProofSession<'c> {
     /// (budget) counts as "no violation found", like
     /// [`ProofSession::bmc_check`].
     pub fn first_violation(&mut self, ok: ExprRef, depth: usize) -> Option<usize> {
-        let skip = self.clean_upto.get(&ok).copied();
+        let mut stats = CheckStats::default();
         for k in 0..=depth {
-            if skip.is_some_and(|clean| k <= clean) {
-                // Proven clean by an earlier query on this session (or by
-                // a previous session that published into the seed).
-                self.note_clean_skip(ok, k);
-                continue;
-            }
-            self.ensure_frames_dir(Dir::Base, k);
-            let bad = !self.base.lit_at(k, ok);
-            match self.solve_on(Dir::Base, k, &[bad]) {
+            match self.base_case(ok, k, &mut stats) {
                 SolveResult::Sat => return Some(k),
-                SolveResult::Unsat => self.record_clean(ok, k),
+                SolveResult::Unsat => {}
                 SolveResult::Unknown => return None,
             }
         }
         None
-    }
-
-    /// Whether any violation of `ok` is reachable within `depth` cycles —
-    /// the base-case form Houdini uses, where the earliest violating cycle
-    /// is irrelevant.
-    pub fn any_violation(&mut self, ok: ExprRef, depth: usize) -> bool {
-        self.first_violation(ok, depth).is_some()
     }
 
     /// K-induction proof attempt for `property` under the installed
@@ -814,37 +781,27 @@ impl<'c> ProofSession<'c> {
 
         for k in 1..=self.config.max_k {
             // --- base case: no violation in cycles 0..k from reset -------
-            // Skipped when an earlier BMC/reachability query on this
+            // A cache hit when an earlier BMC/reachability query on this
             // session already proved cycle k-1 clean (the validation
             // gauntlet's sanity check makes this the common case).
-            let cached_clean =
-                self.clean_upto.get(&property.ok).is_some_and(|&clean| k - 1 <= clean);
-            if cached_clean {
-                self.note_clean_skip(property.ok, k - 1);
-            } else {
-                self.ensure_frames_dir(Dir::Base, k - 1);
-                let bad_base = !self.base.lit_at(k - 1, property.ok);
-                let res = self.solve_on(Dir::Base, k - 1, &[bad_base]);
-                self.drain_check_stats(Dir::Base, &mut stats);
-                match res {
-                    SolveResult::Sat => {
-                        let trace = self.trace(
-                            Dir::Base,
-                            &property.name,
-                            TraceKind::CounterexampleFromReset,
-                            k - 1,
-                        );
-                        stats.duration = start.elapsed();
-                        return ProveResult::Falsified { at: k - 1, trace, stats };
-                    }
-                    SolveResult::Unsat => self.record_clean(property.ok, k - 1),
-                    SolveResult::Unknown => {
-                        stats.duration = start.elapsed();
-                        return ProveResult::Unknown {
-                            reason: format!("base-case budget exhausted at k={k}"),
-                            stats,
-                        };
-                    }
+            match self.base_case(property.ok, k - 1, &mut stats) {
+                SolveResult::Sat => {
+                    let trace = self.trace(
+                        Dir::Base,
+                        &property.name,
+                        TraceKind::CounterexampleFromReset,
+                        k - 1,
+                    );
+                    stats.duration = start.elapsed();
+                    return ProveResult::Falsified { at: k - 1, trace, stats };
+                }
+                SolveResult::Unsat => {}
+                SolveResult::Unknown => {
+                    stats.duration = start.elapsed();
+                    return ProveResult::Unknown {
+                        reason: format!("base-case budget exhausted at k={k}"),
+                        stats,
+                    };
                 }
             }
 
@@ -868,27 +825,9 @@ impl<'c> ProofSession<'c> {
                 self.selectors.imply(self.step.blaster_mut().solver_mut(), guard, ok);
             }
             self.step_prop_guards.insert(property.ok, (guard, covered.max(k)));
-            let mut assumptions: Vec<Lit> = Vec::with_capacity(3);
-            assumptions.push(guard);
-            if self.config.simple_path {
-                let g = match self.sp_guard {
-                    Some(g) => g,
-                    None => {
-                        let g = self.new_selector();
-                        self.sp_guard = Some(g);
-                        g
-                    }
-                };
-                if self.sp_frames < k {
-                    self.step.assert_simple_path_range(self.sp_frames + 1, k, Some(g));
-                    self.sp_frames = k;
-                }
-                assumptions.push(g);
-            }
             let bad_step = !self.step.lit_at(k, property.ok);
-            assumptions.push(bad_step);
-            let res = self.solve_on(Dir::Step, k, &assumptions);
-            self.drain_check_stats(Dir::Step, &mut stats);
+            let res = self.solve_on(Dir::Step, k, &[guard, bad_step]);
+            self.drain_check_stats(&mut stats);
             match res {
                 SolveResult::Unsat => {
                     stats.duration = start.elapsed();
@@ -951,34 +890,6 @@ mod tests {
         ts.add_state(c, Some(zero), next);
         ts.add_signal("count", c);
         ts
-    }
-
-    #[test]
-    fn salted_seeds_stay_adoptable_but_distinct() {
-        let mut ctx = Context::new();
-        let ts = counter(&mut ctx);
-        let c = ctx.find_symbol("count").unwrap();
-        let five = ctx.constant(5, 4);
-        let lt5 = ctx.ult(c, five);
-        let plain = SessionSeed::for_design(&ctx, &ts);
-        let salted = SessionSeed::for_design_salted(&ctx, &ts, 0xdead_beef);
-        assert_eq!(plain.salt(), 0);
-        assert_eq!(salted.salt(), 0xdead_beef);
-        // Both match the design they were built for...
-        assert!(plain.matches(&ctx, &ts));
-        assert!(salted.matches(&ctx, &ts));
-        // ...and a session adopts a salted seed exactly like a plain one.
-        let config = CheckConfig { seed: Some(Arc::clone(&salted)), ..Default::default() };
-        {
-            let mut s = ProofSession::new(&ctx, &ts, config.clone());
-            match s.bmc_check(&Property::new("lt5", lt5), 8) {
-                BmcResult::Falsified { at, .. } => assert_eq!(at, 5),
-                other => panic!("expected falsification: {other:?}"),
-            }
-        }
-        assert!(salted.template_ready(), "salted seed accumulates warm capital");
-        let warm = ProofSession::new(&ctx, &ts, config);
-        assert_eq!(warm.stats().templates_reused, 1);
     }
 
     #[test]
@@ -1059,8 +970,8 @@ mod tests {
         let lt3 = ctx.ult(c, three); // violated from reset at cycle 3
         let cc = ctx.eq(c, c); // never violated
         let mut s = ProofSession::new(&ctx, &ts, CheckConfig::default());
-        assert!(s.any_violation(lt3, 8));
-        assert!(!s.any_violation(cc, 8));
+        assert_eq!(s.first_violation(lt3, 8), Some(3));
+        assert_eq!(s.first_violation(cc, 8), None);
     }
 
     #[test]

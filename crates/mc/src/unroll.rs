@@ -289,50 +289,6 @@ impl<'c> Unroller<'c> {
         }
     }
 
-    /// Adds a pairwise-distinct-states ("simple path") constraint between
-    /// every pair of frames up to `max_frame` — required for k-induction
-    /// completeness, optional for soundness.
-    pub fn assert_simple_path(&mut self, max_frame: usize) {
-        self.assert_simple_path_range(1, max_frame, None);
-    }
-
-    /// Adds simple-path constraints only for pairs `(i, j)` with
-    /// `first_new_frame <= j <= max_frame` and `i < j`, optionally guarded
-    /// by an activation literal. Long-lived sessions use the range form to
-    /// avoid re-adding pairs as the window grows, and the guard so other
-    /// queries on the same solver are unaffected.
-    pub fn assert_simple_path_range(
-        &mut self,
-        first_new_frame: usize,
-        max_frame: usize,
-        guard: Option<Lit>,
-    ) {
-        for j in first_new_frame..=max_frame {
-            for i in 0..j {
-                let mut diff: Vec<Lit> = Vec::new();
-                if let Some(g) = guard {
-                    diff.push(!g);
-                }
-                for st in self.ts.states() {
-                    let a = self.lits_at(i, st.symbol);
-                    let b = self.lits_at(j, st.symbol);
-                    for (x, y) in a.iter().zip(&b) {
-                        // (x ⊕ y) as a fresh literal would need gates; reuse
-                        // the blaster's builder through a scratch expression
-                        // instead: assert at least one bit differs.
-                        let solver = self.bb.solver_mut();
-                        let d = genfv_sat::Lit::pos(solver.new_var());
-                        // d → (x ⊕ y): clauses (¬d ∨ x ∨ y) ∧ (¬d ∨ ¬x ∨ ¬y)
-                        solver.add_clause([!d, *x, *y]);
-                        solver.add_clause([!d, !*x, !*y]);
-                        diff.push(d);
-                    }
-                }
-                self.bb.solver_mut().add_clause(diff);
-            }
-        }
-    }
-
     /// Access to the underlying bit-blaster (for solving and models).
     pub fn blaster_mut(&mut self) -> &mut BitBlaster {
         &mut self.bb
@@ -434,20 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_path_excludes_revisits() {
-        let mut ctx = Context::new();
-        // A 1-bit toggler: state space {0,1}; any 3 frames must revisit.
-        let b = ctx.symbol("b", 1);
-        let nb = ctx.not(b);
-        let mut ts = TransitionSystem::new("toggle");
-        ts.add_state(b, None, nb);
-        let mut u = Unroller::new(&ctx, &ts, false);
-        u.ensure_frame(2);
-        u.assert_simple_path(2);
-        assert!(u.blaster_mut().solver_mut().solve().is_unsat(), "3 distinct states impossible");
-    }
-
-    #[test]
     fn guarded_constraints_scope_to_the_assumed_window() {
         let mut ctx = Context::new();
         let mut ts = counter(&mut ctx);
@@ -532,18 +474,5 @@ mod tests {
         let l = u.lit_at(0, eq7);
         assert!(u.blaster_mut().solve_with_assumptions(&[g0, l]).is_sat());
         assert!(u.blaster_mut().solve_with_assumptions(&[g0, g1, l]).is_unsat());
-    }
-
-    #[test]
-    fn template_mode_simple_path_still_works() {
-        let mut ctx = Context::new();
-        let b = ctx.symbol("b", 1);
-        let nb = ctx.not(b);
-        let mut ts = TransitionSystem::new("toggle");
-        ts.add_state(b, None, nb);
-        let mut u = Unroller::with_mode(&ctx, &ts, false, false, UnrollMode::Template);
-        u.ensure_frame(2);
-        u.assert_simple_path(2);
-        assert!(u.blaster_mut().solver_mut().solve().is_unsat(), "3 distinct states impossible");
     }
 }

@@ -572,12 +572,10 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
                 .stats
                 .opt_states_dropped
                 .fetch_add(design.opt_stats.states_dropped(), Ordering::Relaxed);
-            // Salt the seed fingerprint with the opt level so warm capital
-            // built over an optimized netlist can never be adopted by a
-            // session over the unoptimized one (or vice versa), even
-            // though both came from identical sources.
-            let seed =
-                SessionSeed::for_design_salted(&design.ctx, &design.ts, design.opt.level.salt());
+            // The cache key carries the opt level's salt, so this entry
+            // (and its seed) only ever serves jobs at the level it was
+            // prepared at.
+            let seed = SessionSeed::for_design(&design.ctx, &design.ts);
             let entry = CacheEntry { design, seed };
             shared.cache.lock().unwrap().insert(hash, entry.clone());
             entry

@@ -3,10 +3,14 @@
 # Formatting, clippy (all targets: libs, bins and tests) and rustdoc (every
 # warning, e.g. a doc link to a deleted or private item, is an error) are
 # pinned so style drift cannot accumulate. The differential suites in
-# `cargo test` carry every verdict gate (engine, portfolio, unroll-mode,
-# service and opt equivalence). The e0_ledger benchmark is its
+# `cargo test` carry every verdict gate (session answers and flow answers
+# re-checked on the reference engine, portfolio, unroll-mode, service and
+# opt equivalence). The e0_ledger benchmark is its
 # own Cargo package; its tests (unit tests plus a smoke run of every
-# workload) keep it building against the library crates. e1 runs the paper's example end
+# workload) keep it building against the library crates, and a smoke run
+# under each `--ablate` value it accepts keeps every library stub it names
+# working (pool, cube, satsweep and rebuild switch nothing off any more;
+# dagwalk still does). e1 runs the paper's example end
 # to end and exits nonzero on any regression in it; e2–e7 print the
 # paper's tables and must run to completion (about 6.5 s together on
 # 2 vCPU). e14 races warm
@@ -24,6 +28,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 cargo test --manifest-path e0_ledger/Cargo.toml
+for ablation in pool cube satsweep dagwalk rebuild; do
+    cargo run --release --manifest-path e0_ledger/Cargo.toml -- --smoke --ablate "$ablation"
+done
 cargo run --release -p genfv-bench --bin e1_paper_example
 for bin in e2_flow1_lemmas e3_flow2_repair e4_throughput_table e5_model_comparison \
     e6_ablations e7_k_sweep; do

@@ -113,8 +113,8 @@ pub mod prelude {
     pub use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
     pub use genfv_ir::{BitVecValue, Context, Simulator, TransitionSystem};
     pub use genfv_mc::{
-        bmc, render_final_bits, render_waveform, CheckConfig, EngineMode, KInduction, Property,
-        ProveResult, Trace, UnrollMode,
+        bmc, render_final_bits, render_waveform, CheckConfig, KInduction, Property, ProveResult,
+        Trace, UnrollMode,
     };
     pub use genfv_obs::{Obs, ObsConfig, ObsReport};
     pub use genfv_service::{
