@@ -22,7 +22,7 @@
 //!
 //! | flow | stages |
 //! |---|---|
-//! | [`run_flow1`] | `prove_unaided`; if a target is open, `mine_upfront`, then `prove_targets` |
+//! | [`run_flow1`] | `prove_unaided`; if a target is open, `mine_upfront`, then `prove_targets` if it installed a lemma |
 //! | [`run_flow2`] | `repair_targets` |
 //! | [`run_combined`] | `prove_unaided`; if a target is open, `mine_upfront`, then `repair_targets` |
 //! | [`run_baseline`] | `prove_targets` |
@@ -41,7 +41,6 @@ use genfv_genai::{LanguageModel, Prompt};
 use genfv_ir::{ExprRef, OptConfig, OptStats};
 use genfv_mc::{
     render_waveform, CheckConfig, PortfolioConfig, ProofSession, ProveResult, SessionStats, Trace,
-    UnrollMode,
 };
 use genfv_obs::{Accumulate, Obs};
 use genfv_sva::parse_assertions;
@@ -220,14 +219,10 @@ impl FlowConfig {
         self
     }
 
-    /// This configuration with every session unroller — candidate
-    /// validation, Houdini, and target proofs — encoding frames in
-    /// `mode`. Template stamping is the default; `template_differential.rs`
-    /// in `genfv-designs` uses this to run the identical flow on both
-    /// encodings.
-    pub fn with_unroll_mode(mut self, mode: UnrollMode) -> Self {
-        self.validate.check.unroll_mode = mode;
-        self.check.unroll_mode = mode;
+    /// This configuration, unchanged: every session DAG-walks its base
+    /// frames and stamps its step frames. Ignored; kept because
+    /// `e0_ledger` names it; delete with the next benchmark change.
+    pub fn with_unroll_mode(self, _mode: genfv_mc::UnrollMode) -> Self {
         self
     }
 
@@ -271,9 +266,12 @@ fn candidates_from_completion(text: &str) -> Vec<Candidate> {
         .enumerate()
         .map(|(i, assertion)| {
             let name = assertion.name.clone().unwrap_or_else(|| format!("candidate_{i}"));
-            // Canonical text reconstructed from the AST: reports can quote
-            // the lemma, and re-parsing it yields the same assertion.
-            let text = genfv_sva::render_prop_body(&assertion.body);
+            // Canonical text reconstructed from the AST, `disable iff`
+            // included: reports can quote the lemma, re-parsing it yields
+            // the same assertion, and two candidates share a text only
+            // when they state the same property.
+            let unnamed = genfv_sva::Assertion { name: None, ..assertion.clone() };
+            let text = genfv_sva::render_assertion(&unnamed);
             Candidate { name, text, assertion }
         })
         .collect()
@@ -324,11 +322,14 @@ impl<'a> Run<'a> {
 
     /// The default proof before any model call: `prove_targets` on the
     /// design as given, with no lemmas, exactly as [`run_baseline`] runs
-    /// it. Returns the reports when every target is proven or falsified,
-    /// so the flow settles without the model; otherwise `None`. Either
-    /// way one event line says whether the model is consulted, and for
-    /// which open targets.
-    fn prove_unaided(&mut self, design: &PreparedDesign) -> Option<Vec<TargetReport>> {
+    /// it. Returns `Ok` with the reports when every target is proven or
+    /// falsified, so the flow settles without the model; otherwise `Err`
+    /// with the same reports. Either way one event line says whether the
+    /// model is consulted, and for which open targets.
+    fn prove_unaided(
+        &mut self,
+        design: &PreparedDesign,
+    ) -> Result<Vec<TargetReport>, Vec<TargetReport>> {
         let reports = self.prove_targets(design);
         let open: Vec<String> = reports
             .iter()
@@ -339,22 +340,25 @@ impl<'a> Run<'a> {
             .collect();
         if open.is_empty() {
             self.log("every target settled unaided; the model is not consulted".to_string());
-            return Some(reports);
+            return Ok(reports);
         }
         self.log(format!(
             "open after the unaided proof: {}; consulting the model",
             open.join(", ")
         ));
-        None
+        Err(reports)
     }
 
     /// Paper Fig. 1's upfront phase: one prompt from the specification,
-    /// the RTL and the targets; what validates becomes a lemma.
-    fn mine_upfront(&mut self, design: &mut PreparedDesign, llm: &mut dyn LanguageModel) {
+    /// the RTL and the targets; what validates becomes a lemma. Returns
+    /// whether any lemma was installed.
+    fn mine_upfront(&mut self, design: &mut PreparedDesign, llm: &mut dyn LanguageModel) -> bool {
         let targets: Vec<String> = design.targets.iter().map(|t| t.sva.clone()).collect();
         let candidates = self.consult(llm, &Prompt::flow1(&design.spec, &design.rtl, &targets));
         let accepted = self.evaluate(design, &candidates);
+        let before = self.lemmas.len();
         self.install(design, &candidates, &accepted);
+        self.lemmas.len() > before
     }
 
     /// Proves every target under the accepted lemmas on one session: the
@@ -599,7 +603,8 @@ impl<'a> Run<'a> {
 /// first proven unaided, as [`run_baseline`] proves it, and if each one is
 /// proven or falsified those outcomes are the report, with no LLM call.
 /// Otherwise the Fig. 1 prompt covers all targets and every target is
-/// proven again under the accepted lemmas.
+/// proven again under the accepted lemmas; when none was installed the
+/// design is unchanged, so the unaided outcomes stand.
 pub fn run_flow1(
     mut design: PreparedDesign,
     llm: &mut dyn LanguageModel,
@@ -607,9 +612,12 @@ pub fn run_flow1(
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.flow1", || design.name.clone());
     let mut run = Run::new(config, "flow1");
-    let targets = run.prove_unaided(&design).unwrap_or_else(|| {
-        run.mine_upfront(&mut design, llm);
-        run.prove_targets(&design)
+    let targets = run.prove_unaided(&design).unwrap_or_else(|unaided| {
+        if run.mine_upfront(&mut design, llm) {
+            run.prove_targets(&design)
+        } else {
+            unaided
+        }
     });
     run.report(&design, llm.name(), targets)
 }
@@ -642,7 +650,7 @@ pub fn run_combined(
 ) -> FlowReport {
     let _span = config.obs().span_with("flow.combined", || design.name.clone());
     let mut run = Run::new(config, "combined");
-    let targets = run.prove_unaided(&design).unwrap_or_else(|| {
+    let targets = run.prove_unaided(&design).unwrap_or_else(|_| {
         run.mine_upfront(&mut design, llm);
         run.repair_targets(&mut design, llm)
     });

@@ -183,3 +183,53 @@ fn deterministic_given_seed() {
     };
     assert_eq!(run(), run());
 }
+
+/// A canned completion holding one assertion twice, once under
+/// `disable iff (rst)`: the two state different properties, so both are
+/// installed, and the first lemma's text keeps its `disable iff`.
+#[test]
+fn flow1_keeps_disable_iff_in_lemma_texts() {
+    use genfv_genai::{Completion, LanguageModel, Prompt};
+    struct Canned;
+    impl LanguageModel for Canned {
+        fn name(&self) -> &str {
+            "canned"
+        }
+        fn complete(&mut self, _prompt: &Prompt) -> Completion {
+            Completion {
+                text: "assert property (disable iff (rst) a == b);\nassert property (a == b);\n"
+                    .to_string(),
+                prompt_tokens: 0,
+                completion_tokens: 0,
+                latency: std::time::Duration::ZERO,
+            }
+        }
+    }
+    const LOCKSTEP: &str = r#"
+module lockstep (input clk, rst, output logic [7:0] a, b);
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      a <= 8'b0;
+      b <= 8'b0;
+    end else begin
+      a++;
+      b++;
+    end
+  end
+endmodule
+"#;
+    let design = PreparedDesign::with_opt(
+        "lockstep",
+        LOCKSTEP,
+        "two lockstep counters",
+        &[("equal".to_string(), "&a |-> &b".to_string())],
+        &OptConfig::default().with_level(OptLevel::None),
+    )
+    .unwrap();
+    let report = run_flow1(design, &mut Canned, &FlowConfig::default());
+    let events = genfv_core::render_events(&report);
+    assert_eq!(report.lemmas.len(), 2, "events:\n{events}");
+    let first = genfv_sva::parse_assertion(&report.lemmas[0].text).expect("lemma text parses");
+    assert!(first.disable_iff.is_some(), "text `{}` lost its disable iff", report.lemmas[0].text);
+    assert!(!events.contains("already installed"), "events:\n{events}");
+}

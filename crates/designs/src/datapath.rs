@@ -3,9 +3,10 @@
 //! These bundles exercise the bit-blaster's heaviest circuits (the O(n²)
 //! shift-and-add multiplier) inside induction proofs that close at k=1:
 //! the solver work per query is moderate, so the *encoding* of the
-//! transition relation is a first-order cost — exactly the workload the
-//! template-stamped unroller (`UnrollMode::Template`) exists for, and part
-//! of `template_differential.rs`'s deep-unroll checks.
+//! transition relation is a first-order cost — exactly the workload a
+//! session's template-stamped step frames exist for, and part of
+//! `session_differential.rs`'s deep-unroll checks against the DAG-walking
+//! rebuild reference.
 
 use crate::{DesignBundle, Expectation};
 

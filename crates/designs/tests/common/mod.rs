@@ -1,9 +1,8 @@
 //! Shared pieces of the differential suites (`session_differential`,
-//! `houdini_differential`, `portfolio_differential`,
-//! `template_differential`): the flow designs, verdict classes, and the
-//! reference checks on the rebuild-per-query engine (`genfv_mc::rebuild`,
-//! fresh unrollers and solvers per check) that the session engine the
-//! flows run is held to.
+//! `houdini_differential`, `portfolio_differential`): the flow designs,
+//! verdict classes, and the reference checks on the rebuild-per-query
+//! engine (`genfv_mc::rebuild`, fresh DAG-walked unrollers and solvers
+//! per check) that the session engine the flows run is held to.
 
 // Each suite uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -13,12 +12,12 @@ use genfv_core::{
     ValidationOutcome,
 };
 use genfv_designs::DesignBundle;
-use genfv_genai::{LanguageModel, ModelProfile, Prompt, SyntheticLlm};
+use genfv_genai::{Completion, LanguageModel, ModelProfile, Prompt, SyntheticLlm};
 use genfv_ir::{Context, ExprRef, TransitionSystem};
 use genfv_mc::{
     bmc_rebuild, prove_rebuild, BmcResult, CheckConfig, Property, ProveResult, Unroller,
 };
-use genfv_sat::SolveResult;
+use genfv_sat::{Lit, SolveResult};
 use genfv_sva::{parse_assertion, parse_assertions, PropertyCompiler};
 
 /// The designs the flow-level differential tests run end to end: the
@@ -31,6 +30,59 @@ pub fn flow_designs() -> Vec<DesignBundle> {
         designs.push(genfv_designs::by_name(name).expect("corpus design exists"));
     }
     designs
+}
+
+/// A model that answers every prompt with the same completion `text`.
+pub struct Canned {
+    name: &'static str,
+    text: &'static str,
+}
+
+/// A [`Canned`] model.
+pub fn canned(name: &'static str, text: &'static str) -> Canned {
+    Canned { name, text }
+}
+
+impl LanguageModel for Canned {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn complete(&mut self, _prompt: &Prompt) -> Completion {
+        Completion {
+            text: self.text.to_string(),
+            prompt_tokens: 0,
+            completion_tokens: 0,
+            latency: std::time::Duration::ZERO,
+        }
+    }
+}
+
+/// Every design bundle: the flow corpus plus the datapath designs.
+pub fn full_corpus() -> Vec<DesignBundle> {
+    genfv_designs::all_designs().into_iter().chain(genfv_designs::datapath_designs()).collect()
+}
+
+/// The reference for one step-direction session query over frames
+/// `0..=window`: a fresh DAG-walked free-start unrolling of `window + 1`
+/// frames with every constraint asserted, each `(frame, expr)` of `facts`
+/// asserted, and a violation of each `(frame, expr)` of `violated`
+/// assumed. Returns whether that is satisfiable.
+pub fn fresh_window(
+    ctx: &Context,
+    ts: &TransitionSystem,
+    window: usize,
+    facts: &[(usize, ExprRef)],
+    violated: &[(usize, ExprRef)],
+) -> bool {
+    let mut unroller = Unroller::new(ctx, ts, false);
+    unroller.ensure_frame(window);
+    for &(frame, fact) in facts {
+        let l = unroller.lit_at(frame, fact);
+        unroller.blaster_mut().assert_lit(l);
+    }
+    let bad: Vec<Lit> = violated.iter().map(|&(frame, ok)| !unroller.lit_at(frame, ok)).collect();
+    unroller.blaster_mut().solve_with_assumptions(&bad).is_sat()
 }
 
 /// The observable a flow's *verdict* rests on. Induction-step
@@ -58,7 +110,8 @@ pub fn corpus_candidates(bundle: &DesignBundle, profile: ModelProfile) -> Vec<Ca
         .enumerate()
         .map(|(i, assertion)| {
             let name = assertion.name.clone().unwrap_or_else(|| format!("candidate_{i}"));
-            let text = genfv_sva::render_prop_body(&assertion.body);
+            let unnamed = genfv_sva::Assertion { name: None, ..assertion.clone() };
+            let text = genfv_sva::render_assertion(&unnamed);
             Candidate { name, text, assertion }
         })
         .collect()
@@ -228,8 +281,8 @@ pub fn reference_gauntlet(
 /// Re-checks every answer of a flow `report` on the reference engine.
 /// `design` is a fresh prepare of the design the flow ran on, and
 /// `config` the flow's configuration. The report's lemmas are compiled
-/// onto it from their texts, in install order (the synthetic model writes
-/// no `disable iff`, the one part of an assertion its text leaves out).
+/// onto it from their texts, in install order (a text keeps the whole
+/// assertion but its name, `disable iff` included).
 /// Then:
 ///
 /// * the lemmas, conjoined, prove by [`prove_rebuild`] within the

@@ -4,9 +4,8 @@
 //! * **Determinism** — two identical runs under
 //!   [`ObsConfig::Deterministic`] (logical clock) must produce
 //!   byte-identical event streams: same span names, same nesting, same
-//!   tick timestamps. Pinned in *both* unroll modes, since template
-//!   stamping and the DAG walk take different extension paths and each
-//!   must be individually reproducible.
+//!   tick timestamps, over both extension paths (DAG-walked base frames,
+//!   stamped step frames).
 //! * **Zero-cost when off** — a corpus sweep with the default disabled
 //!   handle must not record a single trace event. The global
 //!   [`events_recorded_total`] counter sits behind the one branch every
@@ -20,26 +19,25 @@ use genfv_core::{
     run_baseline, run_combined, run_flow1, run_flow2, FlowConfig, FlowReport, OptConfig, OptLevel,
 };
 use genfv_genai::{ModelProfile, SyntheticLlm};
-use genfv_mc::{CheckConfig, UnrollMode};
+use genfv_mc::CheckConfig;
 use genfv_obs::{Obs, ObsConfig, Phase, TraceEvent};
 
-fn flow_config(mode: UnrollMode, obs: Obs) -> FlowConfig {
-    FlowConfig {
-        check: CheckConfig { max_k: 4, unroll_mode: mode, ..Default::default() },
-        ..Default::default()
-    }
-    .with_obs(obs)
+mod common;
+
+fn flow_config(obs: Obs) -> FlowConfig {
+    FlowConfig { check: CheckConfig { max_k: 4, ..Default::default() }, ..Default::default() }
+        .with_obs(obs)
 }
 
 /// One deterministic-obs corpus sweep: returns every design's drained
 /// event stream.
-fn traced_sweep(mode: UnrollMode) -> Vec<(String, Vec<TraceEvent>)> {
+fn traced_sweep() -> Vec<(String, Vec<TraceEvent>)> {
     genfv_designs::all_designs()
         .iter()
         .map(|bundle| {
             let design = bundle.prepare().expect("corpus designs prepare");
             let obs = Obs::new(ObsConfig::Deterministic);
-            let report = run_baseline(&design, &flow_config(mode, obs.clone()));
+            let report = run_baseline(&design, &flow_config(obs.clone()));
             assert!(!report.targets.is_empty());
             (design.name.clone(), obs.take_events())
         })
@@ -48,17 +46,12 @@ fn traced_sweep(mode: UnrollMode) -> Vec<(String, Vec<TraceEvent>)> {
 
 #[test]
 fn deterministic_trace_shape_is_pinned_across_runs() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        let a = traced_sweep(mode);
-        let b = traced_sweep(mode);
-        assert_eq!(a.len(), b.len());
-        for ((name_a, ev_a), (name_b, ev_b)) in a.iter().zip(&b) {
-            assert_eq!(name_a, name_b);
-            assert_eq!(
-                ev_a, ev_b,
-                "span tree diverged across identical runs on `{name_a}` ({mode:?})"
-            );
-        }
+    let a = traced_sweep();
+    let b = traced_sweep();
+    assert_eq!(a.len(), b.len());
+    for ((name_a, ev_a), (name_b, ev_b)) in a.iter().zip(&b) {
+        assert_eq!(name_a, name_b);
+        assert_eq!(ev_a, ev_b, "span tree diverged across identical runs on `{name_a}`");
     }
 }
 
@@ -70,7 +63,7 @@ fn deterministic_trace_reaches_solve_depth_and_balances() {
         .prepare()
         .expect("prepares");
     let obs = Obs::new(ObsConfig::Deterministic);
-    run_baseline(&design, &flow_config(UnrollMode::Template, obs.clone()));
+    run_baseline(&design, &flow_config(obs.clone()));
     let report = obs.report().expect("enabled handle yields a report");
 
     let json = report.chrome_json();
@@ -94,11 +87,8 @@ fn off_and_deterministic_modes_agree_on_verdicts() {
     // Recording a trace must never change what the flow concludes.
     for bundle in genfv_designs::all_designs() {
         let design = bundle.prepare().expect("corpus designs prepare");
-        let plain = run_baseline(&design, &flow_config(UnrollMode::Template, Obs::off()));
-        let traced = run_baseline(
-            &design,
-            &flow_config(UnrollMode::Template, Obs::new(ObsConfig::Deterministic)),
-        );
+        let plain = run_baseline(&design, &flow_config(Obs::off()));
+        let traced = run_baseline(&design, &flow_config(Obs::new(ObsConfig::Deterministic)));
         assert_eq!(plain.targets.len(), traced.targets.len());
         for (p, t) in plain.targets.iter().zip(&traced.targets) {
             assert_eq!(
@@ -125,7 +115,7 @@ fn deterministic_events_use_the_logical_clock() {
         .prepare()
         .expect("prepares");
     let obs = Obs::new(ObsConfig::Deterministic);
-    run_baseline(&design, &flow_config(UnrollMode::Template, obs.clone()));
+    run_baseline(&design, &flow_config(obs.clone()));
     let events = obs.take_events();
     assert!(!events.is_empty());
     // Logical timestamps are tick-counter values — strictly increasing
@@ -179,4 +169,8 @@ fn flow_span_skeletons_are_pinned() {
         skeleton(&|c| run_combined(design.clone(), &mut llm(), c)),
         around(&["flow.combined", "prove"])
     );
+    // A completion that parses no candidate installs nothing, so Flow 1
+    // keeps the unaided outcomes instead of proving the same design again.
+    let mute = || common::canned("mute", "");
+    assert_eq!(skeleton(&|c| run_flow1(design.clone(), &mut mute(), c)), ["flow.flow1", "prove"]);
 }

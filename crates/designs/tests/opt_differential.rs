@@ -27,7 +27,7 @@ use genfv_core::{
 };
 use genfv_designs::DesignBundle;
 use genfv_genai::{ModelProfile, SyntheticLlm};
-use genfv_mc::{BmcResult, CheckConfig, ProofSession, ProveResult, UnrollMode};
+use genfv_mc::{BmcResult, CheckConfig, ProofSession, ProveResult};
 
 fn baseline_prep(bundle: &DesignBundle) -> PreparedDesign {
     bundle.prepare_with(&OptConfig::default().with_level(OptLevel::None)).expect("baseline prepare")
@@ -37,8 +37,8 @@ fn optimized_prep(bundle: &DesignBundle) -> PreparedDesign {
     bundle.prepare().expect("optimized prepare")
 }
 
-fn cfg(mode: UnrollMode) -> CheckConfig {
-    CheckConfig { max_k: 4, unroll_mode: mode, ..Default::default() }
+fn cfg() -> CheckConfig {
+    CheckConfig { max_k: 4, ..Default::default() }
 }
 
 /// Optimized-vs-baseline verdict discipline: equal, or improved in the
@@ -68,24 +68,21 @@ fn full_corpus() -> Vec<DesignBundle> {
     genfv_designs::all_designs().into_iter().chain(genfv_designs::datapath_designs()).collect()
 }
 
-/// Induction proofs across the whole corpus (datapath included), in both
-/// unroll modes: the optimized netlist must prove everything the
-/// elaborated one proves, at no greater depth, with identical
-/// counterexamples.
+/// Induction proofs across the whole corpus (datapath included): the
+/// optimized netlist must prove everything the elaborated one proves, at
+/// no greater depth, with identical counterexamples.
 #[test]
 fn optimized_proofs_never_regress_on_corpus() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        for bundle in full_corpus() {
-            let base = baseline_prep(&bundle);
-            let opt = optimized_prep(&bundle);
-            let mut base_session = ProofSession::new(&base.ctx, &base.ts, cfg(mode));
-            let mut opt_session = ProofSession::new(&opt.ctx, &opt.ts, cfg(mode));
-            for (bt, ot) in base.targets.iter().zip(&opt.targets) {
-                assert_eq!(bt.name, ot.name);
-                let b = base_session.prove(&bt.prop);
-                let o = opt_session.prove(&ot.prop);
-                assert_no_regression(&b, &o, &format!("{}::{} ({mode:?})", bundle.name, bt.name));
-            }
+    for bundle in full_corpus() {
+        let base = baseline_prep(&bundle);
+        let opt = optimized_prep(&bundle);
+        let mut base_session = ProofSession::new(&base.ctx, &base.ts, cfg());
+        let mut opt_session = ProofSession::new(&opt.ctx, &opt.ts, cfg());
+        for (bt, ot) in base.targets.iter().zip(&opt.targets) {
+            assert_eq!(bt.name, ot.name);
+            let b = base_session.prove(&bt.prop);
+            let o = opt_session.prove(&ot.prop);
+            assert_no_regression(&b, &o, &format!("{}::{}", bundle.name, bt.name));
         }
     }
 }
@@ -97,8 +94,8 @@ fn optimized_bmc_is_identical_on_corpus() {
     for bundle in full_corpus() {
         let base = baseline_prep(&bundle);
         let opt = optimized_prep(&bundle);
-        let mut base_session = ProofSession::new(&base.ctx, &base.ts, cfg(UnrollMode::Template));
-        let mut opt_session = ProofSession::new(&opt.ctx, &opt.ts, cfg(UnrollMode::Template));
+        let mut base_session = ProofSession::new(&base.ctx, &base.ts, cfg());
+        let mut opt_session = ProofSession::new(&opt.ctx, &opt.ts, cfg());
         for (bt, ot) in base.targets.iter().zip(&opt.targets) {
             let what = format!("{}::{}", bundle.name, bt.name);
             let b = base_session.bmc_check(&bt.prop, 8);
@@ -181,34 +178,27 @@ fn flow1_verdicts_never_regress() {
     }
 }
 
-/// Flow 2 (CEX-driven repair) on the lemma-hungry designs, in both
-/// unroll modes: the full gauntlet — validation, Houdini, repair loop —
-/// over the optimized netlist must reach verdicts no worse than over the
-/// elaborated one.
+/// Flow 2 (CEX-driven repair) on the lemma-hungry designs: the full
+/// gauntlet — validation, Houdini, repair loop — over the optimized
+/// netlist must reach verdicts no worse than over the elaborated one.
 #[test]
 fn flow2_verdicts_never_regress() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        for bundle in genfv_designs::lemma_hungry_designs() {
-            let flow_cfg = FlowConfig::default().with_unroll_mode(mode);
-            let base = run_flow2(
-                baseline_prep(&bundle),
-                &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-                &flow_cfg,
-            );
-            let opt = run_flow2(
-                optimized_prep(&bundle),
-                &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
-                &flow_cfg,
-            );
-            assert_eq!(base.targets.len(), opt.targets.len());
-            for (bt, ot) in base.targets.iter().zip(&opt.targets) {
-                assert_eq!(bt.name, ot.name);
-                outcome_ok(
-                    &bt.outcome,
-                    &ot.outcome,
-                    &format!("{}::{} ({mode:?})", bundle.name, bt.name),
-                );
-            }
+    for bundle in genfv_designs::lemma_hungry_designs() {
+        let flow_cfg = FlowConfig::default();
+        let base = run_flow2(
+            baseline_prep(&bundle),
+            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
+            &flow_cfg,
+        );
+        let opt = run_flow2(
+            optimized_prep(&bundle),
+            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
+            &flow_cfg,
+        );
+        assert_eq!(base.targets.len(), opt.targets.len());
+        for (bt, ot) in base.targets.iter().zip(&opt.targets) {
+            assert_eq!(bt.name, ot.name);
+            outcome_ok(&bt.outcome, &ot.outcome, &format!("{}::{}", bundle.name, bt.name));
         }
     }
 }

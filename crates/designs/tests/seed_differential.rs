@@ -17,7 +17,7 @@
 //! seed (skips the published base cases — the interesting run), and an
 //! unseeded control. All three must agree on every target.
 
-use genfv_mc::{BmcResult, CheckConfig, ProofSession, ProveResult, SessionSeed, UnrollMode};
+use genfv_mc::{BmcResult, CheckConfig, ProofSession, ProveResult, SessionSeed};
 
 fn assert_prove_eq(warm: &ProveResult, control: &ProveResult, what: &str) {
     match (warm, control) {
@@ -61,67 +61,63 @@ fn assert_bmc_eq(warm: &BmcResult, control: &BmcResult, what: &str) {
     }
 }
 
-fn check_config(mode: UnrollMode) -> CheckConfig {
-    CheckConfig { max_k: 4, unroll_mode: mode, ..Default::default() }
+fn check_config() -> CheckConfig {
+    CheckConfig { max_k: 4, ..Default::default() }
 }
 
-/// K-induction over the whole corpus, both unroll modes: cold seeded,
-/// warm seeded, unseeded control — identical verdicts.
+/// K-induction over the whole corpus: cold seeded, warm seeded, unseeded
+/// control — identical verdicts.
 #[test]
 fn seeded_prove_matches_unseeded_on_corpus() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        let mut seed_hits = 0u64;
-        for bundle in genfv_designs::all_designs() {
-            let design = bundle.prepare().expect("corpus designs prepare");
-            let seed = SessionSeed::for_design(&design.ctx, &design.ts);
-            let control = check_config(mode);
-            let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
+    let mut seed_hits = 0u64;
+    for bundle in genfv_designs::all_designs() {
+        let design = bundle.prepare().expect("corpus designs prepare");
+        let seed = SessionSeed::for_design(&design.ctx, &design.ts);
+        let control = check_config();
+        let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
 
-            // Cold seeded run: publishes its clean depths when it drops.
-            let cold_res: Vec<_> = {
-                let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
-                design.targets.iter().map(|t| cold.prove(&t.prop)).collect()
-            };
-            let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
-            let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
-            for (target, cold_r) in design.targets.iter().zip(&cold_res) {
-                let what = format!("{}::{} ({mode:?})", bundle.name, target.name);
-                let warm_r = warm.prove(&target.prop);
-                let ctrl_r = ctrl.prove(&target.prop);
-                assert_prove_eq(cold_r, &ctrl_r, &what);
-                assert_prove_eq(&warm_r, &ctrl_r, &what);
-            }
-            seed_hits += warm.stats().clean_seed_hits;
-            assert_eq!(ctrl.stats().clean_seed_hits, 0, "{}: control was seeded", bundle.name);
+        // Cold seeded run: publishes its clean depths when it drops.
+        let cold_res: Vec<_> = {
+            let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
+            design.targets.iter().map(|t| cold.prove(&t.prop)).collect()
+        };
+        let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
+        let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
+        for (target, cold_r) in design.targets.iter().zip(&cold_res) {
+            let what = format!("{}::{}", bundle.name, target.name);
+            let warm_r = warm.prove(&target.prop);
+            let ctrl_r = ctrl.prove(&target.prop);
+            assert_prove_eq(cold_r, &ctrl_r, &what);
+            assert_prove_eq(&warm_r, &ctrl_r, &what);
         }
-        assert!(seed_hits > 0, "{mode:?}: warm sessions must actually skip seeded base cases");
+        seed_hits += warm.stats().clean_seed_hits;
+        assert_eq!(ctrl.stats().clean_seed_hits, 0, "{}: control was seeded", bundle.name);
     }
+    assert!(seed_hits > 0, "warm sessions must actually skip seeded base cases");
 }
 
 /// BMC over the same three-way split: the warm run's base cases are
 /// skipped from the seed's clean depths.
 #[test]
 fn seeded_bmc_matches_unseeded_on_corpus() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        for bundle in genfv_designs::all_designs() {
-            let design = bundle.prepare().expect("corpus designs prepare");
-            let seed = SessionSeed::for_design(&design.ctx, &design.ts);
-            let control = check_config(mode);
-            let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
+    for bundle in genfv_designs::all_designs() {
+        let design = bundle.prepare().expect("corpus designs prepare");
+        let seed = SessionSeed::for_design(&design.ctx, &design.ts);
+        let control = check_config();
+        let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
 
-            let cold_res: Vec<_> = {
-                let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
-                design.targets.iter().map(|t| cold.bmc_check(&t.prop, 8)).collect()
-            };
-            let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
-            let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
-            for (target, cold_r) in design.targets.iter().zip(&cold_res) {
-                let what = format!("{}::{} ({mode:?})", bundle.name, target.name);
-                let warm_r = warm.bmc_check(&target.prop, 8);
-                let ctrl_r = ctrl.bmc_check(&target.prop, 8);
-                assert_bmc_eq(cold_r, &ctrl_r, &what);
-                assert_bmc_eq(&warm_r, &ctrl_r, &what);
-            }
+        let cold_res: Vec<_> = {
+            let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
+            design.targets.iter().map(|t| cold.bmc_check(&t.prop, 8)).collect()
+        };
+        let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
+        let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
+        for (target, cold_r) in design.targets.iter().zip(&cold_res) {
+            let what = format!("{}::{}", bundle.name, target.name);
+            let warm_r = warm.bmc_check(&target.prop, 8);
+            let ctrl_r = ctrl.bmc_check(&target.prop, 8);
+            assert_bmc_eq(cold_r, &ctrl_r, &what);
+            assert_bmc_eq(&warm_r, &ctrl_r, &what);
         }
     }
 }
@@ -132,34 +128,32 @@ fn seeded_bmc_matches_unseeded_on_corpus() {
 /// reproducible prompts, Houdini witnesses and lemma texts.
 #[test]
 fn seeded_step_models_match_cold_exactly() {
-    for mode in [UnrollMode::Template, UnrollMode::DagWalk] {
-        for bundle in genfv_designs::all_designs() {
-            let design = bundle.prepare().expect("corpus designs prepare");
-            let seed = SessionSeed::for_design(&design.ctx, &design.ts);
-            let control = check_config(mode);
-            let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
+    for bundle in genfv_designs::all_designs() {
+        let design = bundle.prepare().expect("corpus designs prepare");
+        let seed = SessionSeed::for_design(&design.ctx, &design.ts);
+        let control = check_config();
+        let seeded = CheckConfig { seed: Some(seed), ..control.clone() };
 
-            // Populate the seed's template and clean depths.
-            {
-                let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
-                for t in &design.targets {
-                    let _ = cold.prove(&t.prop);
-                }
+        // Populate the seed's template and clean depths.
+        {
+            let mut cold = ProofSession::new(&design.ctx, &design.ts, seeded.clone());
+            for t in &design.targets {
+                let _ = cold.prove(&t.prop);
             }
-            let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
-            let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
-            for target in &design.targets {
-                let warm_r = warm.prove(&target.prop);
-                let ctrl_r = ctrl.prove(&target.prop);
-                let what = format!("{}::{} ({mode:?})", bundle.name, target.name);
-                assert_prove_eq(&warm_r, &ctrl_r, &what);
-                if let (
-                    ProveResult::StepFailure { trace: tw, .. },
-                    ProveResult::StepFailure { trace: tc, .. },
-                ) = (&warm_r, &ctrl_r)
-                {
-                    assert_eq!(tw.steps, tc.steps, "seeding changed a step model on {what}");
-                }
+        }
+        let mut warm = ProofSession::new(&design.ctx, &design.ts, seeded);
+        let mut ctrl = ProofSession::new(&design.ctx, &design.ts, control);
+        for target in &design.targets {
+            let warm_r = warm.prove(&target.prop);
+            let ctrl_r = ctrl.prove(&target.prop);
+            let what = format!("{}::{}", bundle.name, target.name);
+            assert_prove_eq(&warm_r, &ctrl_r, &what);
+            if let (
+                ProveResult::StepFailure { trace: tw, .. },
+                ProveResult::StepFailure { trace: tc, .. },
+            ) = (&warm_r, &ctrl_r)
+            {
+                assert_eq!(tw.steps, tc.steps, "seeding changed a step model on {what}");
             }
         }
     }

@@ -7,7 +7,16 @@
 //! must agree on every observable: verdict class, induction depth `k`,
 //! counterexample cycle, and trace length. SAT models are not unique, so
 //! per-signal trace *values* may differ between engines; everything the
-//! flows branch on is pinned here.
+//! flows branch on is pinned here, plus the frame-0 values of
+//! reset-initialised state on BMC counterexamples (pinned by the encoding,
+//! not chosen by the solver).
+//!
+//! The two engines also differ in frame encoding. A session stamps its
+//! induction-step frames from a one-time `genfv_ir::Template` blast; the
+//! reference engine DAG-walks every frame. So the corpus tests (datapath
+//! designs included), the selector-window queries against
+//! `common::fresh_window` and the deep proofs at `max_k` 32 are also the
+//! gate on template stamping.
 //!
 //! The session engine is the only one the flows run, so the tests at the
 //! bottom hold the flows to the reference engine directly: the validation
@@ -71,14 +80,14 @@ fn assert_prove_eq(session: &ProveResult, rebuild: &ProveResult, what: &str) {
     }
 }
 
-/// Every target of every corpus design: one persistent session per design
-/// (frames and learnt clauses shared across its targets) versus fresh
-/// engines per target.
+/// Every target of every corpus design, datapath designs included: one
+/// persistent session per design (frames and learnt clauses shared across
+/// its targets) versus fresh engines per target.
 #[test]
 fn session_prove_matches_rebuild_on_corpus() {
     let config = CheckConfig { max_k: 4, ..Default::default() };
     let mut targets_checked = 0;
-    for bundle in genfv_designs::all_designs() {
+    for bundle in common::full_corpus() {
         let design = bundle.prepare().expect("corpus designs prepare");
         let mut session = ProofSession::new(&design.ctx, &design.ts, config.clone());
         for target in &design.targets {
@@ -92,17 +101,120 @@ fn session_prove_matches_rebuild_on_corpus() {
     assert!(targets_checked >= 10, "the corpus should contribute real targets");
 }
 
-/// BMC over the same persistent-vs-fresh split.
+/// BMC over the same persistent-vs-fresh split. On a counterexample,
+/// every state signal with a constant reset value holds that value at
+/// cycle 0 in both traces, whatever model the solvers picked.
 #[test]
 fn session_bmc_matches_rebuild_on_corpus() {
     let config = CheckConfig::default();
-    for bundle in genfv_designs::all_designs() {
+    let mut falsified = 0;
+    for bundle in common::full_corpus() {
         let design = bundle.prepare().expect("corpus designs prepare");
         let mut session = ProofSession::new(&design.ctx, &design.ts, config.clone());
         for target in &design.targets {
+            let what = format!("{}::{}", bundle.name, target.name);
             let s = session.bmc_check(&target.prop, 8);
             let r = bmc_rebuild(&design.ctx, &design.ts, &target.prop, &[], 8, &config);
-            assert_bmc_eq(&s, &r, &format!("{}::{}", bundle.name, target.name));
+            assert_bmc_eq(&s, &r, &what);
+            let (BmcResult::Falsified { trace: ts, .. }, BmcResult::Falsified { trace: tr, .. }) =
+                (&s, &r)
+            else {
+                continue;
+            };
+            falsified += 1;
+            for (name, expr) in design.ts.signals() {
+                let Some(state) = design.ts.find_state(*expr) else { continue };
+                let Some(reset) = state.init.and_then(|init| design.ctx.const_value(init)) else {
+                    continue;
+                };
+                assert_eq!(
+                    ts.steps[0].get(name),
+                    Some(reset),
+                    "session frame 0 of {name} on {what}"
+                );
+                assert_eq!(
+                    tr.steps[0].get(name),
+                    Some(reset),
+                    "rebuild frame 0 of {name} on {what}"
+                );
+            }
+        }
+    }
+    assert!(falsified > 0, "the corpus should contribute BMC counterexamples");
+}
+
+/// Guarded hypotheses over selector literals on the stamped step
+/// direction: a fact guarded at frame 2, queried under different windows,
+/// then retired. The last query opens a 64-frame free-start window with
+/// no fact in force, so every stamped clause of a deep unrolling must
+/// propagate. Each answer equals a fresh DAG-walked window's with the
+/// facts in force asserted (`common::fresh_window`).
+#[test]
+fn selector_windows_match_a_fresh_window() {
+    let config = CheckConfig { max_k: 4, ..Default::default() };
+    for bundle in common::full_corpus() {
+        let design = bundle.prepare().expect("corpus designs prepare");
+        let Some(target) = design.targets.first() else { continue };
+        let fact = target.prop.ok;
+        let what = format!("{}::{}", bundle.name, target.name);
+        let fresh = |window, facts: &[_], violated: &[_]| {
+            common::fresh_window(&design.ctx, &design.ts, window, facts, violated)
+        };
+
+        let mut s = ProofSession::new(&design.ctx, &design.ts, config.clone());
+        let sel = s.new_selector();
+        s.guard_fact(sel, 2, fact);
+        let l2 = s.literal(2, fact);
+        let l3 = s.literal(3, fact);
+        // Guarded fact active: ¬fact@2 contradicts the selector.
+        let active = s.solve_under(false, 2, &[sel, !l2]).is_sat();
+        assert_eq!(active, fresh(2, &[(2, fact)], &[(2, fact)]), "active fact on {what}");
+        // Without the selector the fact is free.
+        let free = s.solve_under(false, 2, &[!l2]).is_sat();
+        assert_eq!(free, fresh(2, &[], &[(2, fact)]), "inactive fact on {what}");
+        // A wider window with the fact assumed at 2, queried at 3.
+        let wider = s.solve_under(false, 3, &[sel, !l3]).is_sat();
+        assert_eq!(wider, fresh(3, &[(2, fact)], &[(3, fact)]), "wider window on {what}");
+        // Retired: the selector can no longer be assumed, and the fact is
+        // free again.
+        s.retire_selector(sel);
+        assert!(s.solve_under(false, 2, &[sel, !l2]).is_unsat(), "retired selector on {what}");
+        let retired = s.solve_under(false, 2, &[!l2]).is_sat();
+        assert_eq!(retired, fresh(2, &[], &[(2, fact)]), "retired fact on {what}");
+        // A deep window: 64 stamped frames, every frame guard active.
+        let deep = s.solve_under(false, 64, &[]).is_sat();
+        assert_eq!(deep, fresh(64, &[], &[]), "64-frame window on {what}");
+    }
+}
+
+/// Unaided proofs at `max_k` 32, where the reference walks the DAG for
+/// every frame and the session stamps each step frame. Verdicts — depths
+/// and cycles included — must match. The designs are the encoding-bound
+/// arithmetic checkers, the wide lockstep counters and the parity/ECC
+/// family, with `ecc_counter` as a solver-bound control. `fifo_counters`
+/// is left out: its unaided step obligations blow up past k≈20 in both
+/// encodings, which is the portfolio's territory, not the encoding's.
+#[test]
+fn deep_session_prove_matches_rebuild() {
+    const DEEP: [&str; 9] = [
+        "div_checker",
+        "mul_incr",
+        "mul_distrib",
+        "sync_counters_16",
+        "hamming74",
+        "secded84",
+        "offset_counters",
+        "gray_counter",
+        "ecc_counter",
+    ];
+    let config = CheckConfig { max_k: 32, ..Default::default() };
+    for name in DEEP {
+        let design = genfv_designs::by_name(name).expect("exists").prepare().expect("prepares");
+        let mut session = ProofSession::new(&design.ctx, &design.ts, config.clone());
+        for target in &design.targets {
+            let s = session.prove(&target.prop);
+            let r = prove_rebuild(&design.ctx, &design.ts, &target.prop, &[], &config);
+            assert_prove_eq(&s, &r, &format!("{name}::{} (max_k 32)", target.name));
         }
     }
 }

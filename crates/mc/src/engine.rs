@@ -141,11 +141,6 @@ pub struct CheckConfig {
     /// session's (see [`genfv_portfolio`]). `None` (the default) keeps
     /// the plain single-solver discipline.
     pub portfolio: Option<genfv_portfolio::PortfolioConfig>,
-    /// How session unrollers encode new time frames: template stamping
-    /// (default) or the per-frame DAG walk kept as a differential oracle
-    /// (see [`crate::unroll::UnrollMode`]). The rebuild-per-query
-    /// reference engines always DAG-walk.
-    pub unroll_mode: crate::unroll::UnrollMode,
     /// Warm-start capital shared across sessions over one design (see
     /// [`crate::session::SessionSeed`]): the template and clean depths
     /// of the `genfv-service` session cache. Sessions adopt the
@@ -178,7 +173,6 @@ impl Default for CheckConfig {
             max_k: 10,
             conflict_budget: None,
             portfolio: None,
-            unroll_mode: crate::unroll::UnrollMode::default(),
             seed: None,
             clause_pool: PoolScope::default(),
             obs: genfv_obs::Obs::off(),

@@ -17,6 +17,10 @@
 //!   frames and learnt clauses survive across candidates, Houdini
 //!   rounds, and targets, and retracting a hypothesis is one unit clause
 //!   (see [`session`] for the soundness argument);
+//! * **one frame encoding per direction** ([`unroll`]) — base frames
+//!   DAG-walk with reset pinned, so reset constants fold; step frames are
+//!   stamped from a one-time [`genfv_ir::Template`] blast that a
+//!   [`SessionSeed`] can share across sessions;
 //! * **portfolio-backed queries** ([`CheckConfig::portfolio`]) — any
 //!   session query can be answered by racing jittered solver
 //!   configurations on clones of the loaded clause database
@@ -25,9 +29,9 @@
 //!   first-winner race, and the winner's solver (with the losers' shared
 //!   glue clauses) becomes the session's solver for the next query;
 //! * **a rebuild-per-query reference engine** ([`rebuild`]) — the
-//!   pre-session architecture, which no library code runs: the session
-//!   differential suite checks sessions and every flow answer against it;
-//! * incremental time-frame expansion with one solver per direction;
+//!   pre-session architecture, DAG-walking every frame, which no library
+//!   code runs: the session differential suite checks sessions (stamped
+//!   step frames included) and every flow answer against it;
 //! * **helper-lemma support** — proven assertions are assumed at every
 //!   frame of the step case, exactly how the paper's generated lemmas
 //!   accelerate and unblock proofs;

@@ -55,7 +55,7 @@
 
 use crate::engine::{BmcResult, CheckConfig, CheckStats, Property, ProveResult};
 use crate::trace::{read_symbol_cycles, Trace, TraceKind};
-use crate::unroll::{UnrollMode, Unroller};
+use crate::unroll::Unroller;
 use genfv_ir::{Context, ExprRef, Template, TransitionSystem};
 use genfv_obs::QueryKind;
 use genfv_sat::{ActivationGroup, Lit, QueryEffort, SolveResult};
@@ -73,7 +73,7 @@ use std::time::Instant;
 /// session's transferable capital:
 ///
 /// * the **step-direction [`Template`]** — the one-time blast of the
-///   transition relation that [`UnrollMode::Template`] frames stamp from.
+///   transition relation that every step frame is stamped from.
 ///   Building it is the dominant fixed cost of a fresh session; every
 ///   identically-laid-out design can stamp from the same block;
 /// * the **clean-depth facts** — "no violation of `ok` at cycle `k` from
@@ -380,35 +380,29 @@ pub struct ProofSession<'c> {
 
 impl<'c> ProofSession<'c> {
     /// Creates a session: the one (per-direction) bit-blast this design
-    /// will get. In [`UnrollMode::Template`] (the default) the free-start
-    /// step direction stamps its frames from a one-time
-    /// [`genfv_ir::Template`] blast; the reset-pinned base direction
-    /// always keeps the constant-folding DAG-walk path (pinned frames are
-    /// not frame-uniform, so stamping cannot beat folding there).
+    /// will get. The reset-pinned base direction DAG-walks its frames, so
+    /// reset constants fold through them (pinned frames are not
+    /// frame-uniform, so stamping cannot beat folding there); the
+    /// free-start step direction stamps its frames from a one-time
+    /// [`genfv_ir::Template`] blast — the seed's when a matching seed is
+    /// attached, else one built here.
     pub fn new(ctx: &'c Context, ts: &'c TransitionSystem, config: CheckConfig) -> Self {
         // Adopt the caller's seed only when it was built for exactly this
         // design layout — validation clones (extra monitor state) and
         // post-lemma-install designs silently run unseeded.
         let seed = config.seed.as_ref().filter(|s| s.matches(ctx, ts)).map(Arc::clone);
         let mut stats = SessionStats { bitblasts: 1, ..Default::default() };
-        let mut base = Unroller::new_guarded(ctx, ts, true);
-        let mut step = match config.unroll_mode {
-            UnrollMode::Template => {
-                let tpl = match &seed {
-                    Some(s) => {
-                        let ready = s.template_ready();
-                        let t = s.template_for(ctx, ts);
-                        if ready {
-                            stats.templates_reused += 1;
-                        }
-                        t
-                    }
-                    None => Arc::new(Template::build(ctx, ts)),
-                };
-                Unroller::with_shared_template(ctx, ts, false, true, tpl)
+        let template = match &seed {
+            Some(s) => {
+                if s.template_ready() {
+                    stats.templates_reused += 1;
+                }
+                s.template_for(ctx, ts)
             }
-            UnrollMode::DagWalk => Unroller::new_guarded(ctx, ts, false),
+            None => Arc::new(Template::build(ctx, ts)),
         };
+        let mut base = Unroller::new_guarded(ctx, ts, true);
+        let mut step = Unroller::stamped(ctx, ts, template);
         // Thread the observability handle into both persistent solvers so
         // every query records a `solve.<kind>` span and per-kind metrics
         // (portfolio worker clones inherit the handle).

@@ -2,65 +2,67 @@
 //! solver.
 //!
 //! Frame *i* has its own [`LitEnv`]; state symbols of frame *i+1* are bound
-//! to the bit-blasted next-state functions evaluated in frame *i*. With
-//! `use_init = true`, frame 0 additionally pins initialised states to their
-//! reset values (BMC/base case) — binding them as constants, so the
-//! bit-blaster folds reset values through the whole unrolling; with
-//! `false`, frame 0 is an arbitrary state (induction step).
+//! to the next-state functions evaluated in frame *i*. Environment
+//! constraints hold in every frame. [`Unroller::new`] asserts them
+//! outright (the rebuild reference engines); [`Unroller::new_guarded`] and
+//! [`Unroller::stamped`] activate them per frame through
+//! [`Unroller::frame_guard`] literals instead, so a query over frames
+//! `0..=k` of a long-lived unrolling assumes exactly the constraints a
+//! fresh `k`-frame unrolling would assert — deeper frames do not restrict
+//! shallower ones, and frames only ever grow. The guarded forms are the
+//! substrate of [`crate::session::ProofSession`], which owns one guarded
+//! unroller per proof direction.
 //!
-//! Environment constraints hold in every frame. [`Unroller::new`] asserts
-//! them outright (the one-shot/rebuild engines); [`Unroller::new_guarded`]
-//! activates them per frame through [`Unroller::frame_guard`] literals
-//! instead, so a query over frames `0..=k` of a long-lived unrolling
-//! assumes exactly the constraints a fresh `k`-frame unrolling would
-//! assert — deeper frames do not restrict shallower ones, and frames only
-//! ever grow. The guarded form is the substrate of
-//! [`crate::session::ProofSession`], which owns one guarded unroller per
-//! proof direction (pinned base, free step).
+//! ## One frame encoding per direction
 //!
-//! ## Frame encoding modes
+//! Each constructor fixes how every frame of its unrolling is encoded:
 //!
-//! How a new frame's CNF is produced is selected by [`UnrollMode`]:
+//! * [`Unroller::new`] and [`Unroller::new_guarded`] **DAG-walk**: each
+//!   frame walks the expression DAG with direct Tseitin encoding. With
+//!   `use_init = true`, frame 0 binds initialised states to their reset
+//!   values as constants, so the bit-blaster folds reset values through
+//!   the whole unrolling (on deterministic cones a folded frame costs no
+//!   clauses at all, which a uniform frame copy can never beat); with
+//!   `false`, frame 0 is an arbitrary state. A session's reset-pinned base
+//!   direction and the rebuild reference engines unroll this way.
+//! * [`Unroller::stamped`] **stamps** a free-start unrolling — a session's
+//!   induction-step direction, where every frame is the same relation.
+//!   The transition relation and constraints are blasted once into a
+//!   relocatable [`genfv_ir::Template`]; each frame is a bulk clause-arena
+//!   copy with a per-literal offset add, substituting current-state
+//!   literals with the predecessor's next-state outputs (no linking
+//!   clauses — state literals chain exactly like the DAG walk).
 //!
-//! * [`UnrollMode::Template`] (production default) — for a *free-start*
-//!   unrolling (the induction-step direction), the transition relation
-//!   and constraints are blasted **once** into a relocatable
-//!   [`genfv_ir::Template`]; each frame is then stamped by a bulk
-//!   clause-arena copy with a per-literal offset add, substituting
-//!   current-state literals with the predecessor's next-state outputs
-//!   (no linking clauses — state literals chain exactly like the DAG
-//!   walk). A *reset-pinned* unrolling keeps the DAG-walk path for
-//!   every frame: constant folding specialises pinned frames (on
-//!   deterministic cones they cost no clauses at all), which a uniform
-//!   frame copy can never beat.
-//! * [`UnrollMode::DagWalk`] — the original per-frame expression-DAG walk
-//!   with direct Tseitin encoding; preserved as the differential oracle
-//!   (`template_differential` in `genfv-designs`) and for the
-//!   rebuild-per-query reference engines.
+//! The rebuild engines in [`crate::rebuild`] are the tests' DAG-walk
+//! reference for stamped sessions.
 
 use genfv_ir::{BitBlaster, Context, ExprRef, FrameStamp, LitEnv, Template, TransitionSystem};
 use genfv_sat::Lit;
 use std::sync::Arc;
 
-/// How frame 0 treats initialised state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum InitMode {
-    /// Frame 0 binds initialised states directly to their reset values.
-    Pinned,
-    /// Frame 0 is an arbitrary state.
-    Free,
-}
-
-/// How new time frames are encoded (see the [module docs](self)).
+/// Ignored; kept because `e0_ledger` names it (through
+/// `FlowConfig::with_unroll_mode` in `genfv-core`); delete with the next
+/// benchmark change. A session's base direction always DAG-walks with
+/// reset pinned and its step direction always stamps (see the
+/// [module docs](self)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum UnrollMode {
-    /// Template-stamped frames: one-time blast, per-frame clause-arena
-    /// copy by literal renaming. The production default.
+    /// Template-stamped step frames, the only step encoding sessions use.
     #[default]
     Template,
-    /// Per-frame expression-DAG walk with direct Tseitin encoding — the
-    /// pre-template path, kept as the differential oracle.
+    /// Ignored: sessions no longer have a DAG-walked step direction.
     DagWalk,
+}
+
+/// How an unroller encodes its frames, fixed at construction.
+#[derive(Debug)]
+enum Encoding {
+    /// Per-frame expression-DAG walk; `pinned` binds frame 0's
+    /// initialised states to their reset values.
+    DagWalk { pinned: bool },
+    /// Free-start frames stamped from a shared one-time blast, with one
+    /// window stamp per frame.
+    Stamped { template: Arc<Template>, stamps: Vec<FrameStamp> },
 }
 
 /// Incremental unroller.
@@ -70,81 +72,49 @@ pub struct Unroller<'c> {
     ts: &'c TransitionSystem,
     bb: BitBlaster,
     frames: Vec<LitEnv>,
-    init: InitMode,
     /// Per-frame activation literals for environment constraints (and any
     /// caller-supplied frame-local facts); `None` when constraints are
-    /// asserted unconditionally (one-shot/rebuild mode).
+    /// asserted unconditionally (the rebuild engines).
     frame_guards: Option<Vec<Lit>>,
-    mode: UnrollMode,
-    /// The shared one-time blast (built lazily on the first stamped
-    /// frame unless supplied by the session).
-    template: Option<Arc<Template>>,
-    /// Per-frame window stamps; `None` for DAG-walked frames.
-    stamps: Vec<Option<FrameStamp>>,
+    encoding: Encoding,
 }
 
 impl<'c> Unroller<'c> {
-    /// Creates an unroller with zero frames and unconditional constraints,
-    /// in the DAG-walk (reference) encoding.
+    /// Creates a DAG-walking unroller with zero frames and unconditional
+    /// constraints.
     pub fn new(ctx: &'c Context, ts: &'c TransitionSystem, use_init: bool) -> Self {
-        Unroller::with_mode(ctx, ts, use_init, false, UnrollMode::DagWalk)
+        Unroller::build(ctx, ts, false, Encoding::DagWalk { pinned: use_init })
     }
 
-    /// Creates an unroller for long-lived sessions in the DAG-walk
-    /// (reference) encoding: environment constraints are activated per
-    /// frame through guard literals, so any query window `0..=k` on the
-    /// persistent solver is equivalent to a fresh `k`-frame unrolling.
+    /// Creates a DAG-walking unroller for long-lived sessions: environment
+    /// constraints are activated per frame through guard literals, so any
+    /// query window `0..=k` on the persistent solver is equivalent to a
+    /// fresh `k`-frame unrolling.
     pub fn new_guarded(ctx: &'c Context, ts: &'c TransitionSystem, use_init: bool) -> Self {
-        Unroller::with_mode(ctx, ts, use_init, true, UnrollMode::DagWalk)
+        Unroller::build(ctx, ts, true, Encoding::DagWalk { pinned: use_init })
     }
 
-    /// Creates an unroller with an explicit frame-encoding mode.
-    pub fn with_mode(
+    /// Creates a guarded, free-start unroller whose frames are stamped
+    /// from `template` (built for `ctx`/`ts`), so one blast serves every
+    /// session that shares it.
+    pub fn stamped(ctx: &'c Context, ts: &'c TransitionSystem, template: Arc<Template>) -> Self {
+        Unroller::build(ctx, ts, true, Encoding::Stamped { template, stamps: Vec::new() })
+    }
+
+    fn build(
         ctx: &'c Context,
         ts: &'c TransitionSystem,
-        use_init: bool,
         guarded: bool,
-        mode: UnrollMode,
+        encoding: Encoding,
     ) -> Self {
-        let init = if use_init { InitMode::Pinned } else { InitMode::Free };
         Unroller {
             ctx,
             ts,
             bb: BitBlaster::new(),
             frames: Vec::new(),
-            init,
             frame_guards: guarded.then(Vec::new),
-            mode,
-            template: None,
-            stamps: Vec::new(),
+            encoding,
         }
-    }
-
-    /// [`Unroller::with_mode`] with a pre-built template, so one blast
-    /// serves several unrollers (a session's base and step directions).
-    pub fn with_shared_template(
-        ctx: &'c Context,
-        ts: &'c TransitionSystem,
-        use_init: bool,
-        guarded: bool,
-        template: Arc<Template>,
-    ) -> Self {
-        let mut u = Unroller::with_mode(ctx, ts, use_init, guarded, UnrollMode::Template);
-        u.template = Some(template);
-        u
-    }
-
-    /// The frame-encoding mode.
-    pub fn mode(&self) -> UnrollMode {
-        self.mode
-    }
-
-    /// The template backing stamped frames, building it on first use.
-    fn ensure_template(&mut self) -> Arc<Template> {
-        if self.template.is_none() {
-            self.template = Some(Arc::new(Template::build(self.ctx, self.ts)));
-        }
-        self.template.clone().expect("just built")
     }
 
     /// Number of frames created so far.
@@ -175,93 +145,63 @@ impl<'c> Unroller<'c> {
 
     fn push_frame(&mut self) {
         let idx = self.frames.len();
-        // A reset-pinned unrolling always takes the DAG-walk path: binding
-        // init values as constants lets the blaster fold reset state
-        // through the whole unrolling, so pinned frames are *not*
-        // frame-uniform — on deterministic cones they cost no clauses at
-        // all, which stamping a generic frame copy can never beat. The
-        // free-start (induction-step) direction is where every frame is
-        // the same relation and stamping wins.
-        let stamp_this = self.mode == UnrollMode::Template && self.init == InitMode::Free;
         let mut env = LitEnv::new();
-        let stamp = if stamp_this {
-            let tpl = self.ensure_template();
-            // The predecessor's next-state outputs resolve by pure offset
-            // arithmetic (the mode is fixed at construction, so every
-            // frame of a stamping unroller is stamped) and substitute for
-            // the new frame's X slots: state literals chain exactly like
-            // a DAG-walked unrolling, with no linking clauses.
-            let prev = if idx == 0 {
-                None
-            } else {
-                let pst =
-                    self.stamps[idx - 1].as_ref().expect("stamping unrollers stamp every frame");
-                Some(tpl.next_state_lits(pst, self.bb.true_lit()))
-            };
-            let st = tpl.stamp(self.bb.solver_mut(), prev.as_deref());
-            tpl.bind_frame(&st, &mut env);
-            Some(st)
-        } else {
-            if idx == 0 {
-                if self.init == InitMode::Pinned {
-                    for st in self.ts.states() {
-                        if let Some(init) = st.init {
-                            let lits = self.bb.blast(self.ctx, &mut env, init);
-                            env.bind(st.symbol, lits);
+        match &mut self.encoding {
+            Encoding::Stamped { template, stamps } => {
+                // The predecessor's next-state outputs resolve by pure
+                // offset arithmetic and substitute for the new frame's X
+                // slots: state literals chain exactly like a DAG-walked
+                // unrolling, with no linking clauses.
+                let prev = stamps.last().map(|p| template.next_state_lits(p, self.bb.true_lit()));
+                let stamp = template.stamp(self.bb.solver_mut(), prev.as_deref());
+                template.bind_frame(&stamp, &mut env);
+                stamps.push(stamp);
+            }
+            Encoding::DagWalk { pinned } => {
+                if idx == 0 {
+                    if *pinned {
+                        for st in self.ts.states() {
+                            if let Some(init) = st.init {
+                                let lits = self.bb.blast(self.ctx, &mut env, init);
+                                env.bind(st.symbol, lits);
+                            }
                         }
                     }
-                }
-            } else {
-                // Blast every next-state function in the previous frame,
-                // then bind the state symbols in the new frame.
-                let mut bound = Vec::with_capacity(self.ts.states().len());
-                for st in self.ts.states() {
+                } else {
+                    // Blast every next-state function in the previous
+                    // frame, then bind the state symbols in the new frame.
                     let prev_env = &mut self.frames[idx - 1];
-                    let lits = self.bb.blast(self.ctx, prev_env, st.next);
-                    bound.push((st.symbol, lits));
-                }
-                for (sym, lits) in bound {
-                    env.bind(sym, lits);
+                    for st in self.ts.states() {
+                        let lits = self.bb.blast(self.ctx, prev_env, st.next);
+                        env.bind(st.symbol, lits);
+                    }
                 }
             }
-            None
-        };
+        }
         self.frames.push(env);
-        self.stamps.push(stamp);
         // Environment constraints hold in every frame — asserted outright
-        // in one-shot mode, activated by the frame guard in session mode.
-        let guard = if let Some(guards) = &mut self.frame_guards {
+        // by the rebuild engines, activated by the frame guard in sessions.
+        let guard = self.frame_guards.as_mut().map(|guards| {
             let g = Lit::pos(self.bb.solver_mut().new_var());
             guards.push(g);
-            Some(g)
-        } else {
-            None
-        };
-        if let Some(st) = self.stamps[idx].clone() {
-            // Stamped frames carry pre-encoded (polarity-aware)
-            // constraint literals; activation is positive-phase only,
-            // which is exactly what the encoding guarantees.
-            let tpl = self.template.clone().expect("stamped frame has a template");
-            let t = self.bb.true_lit();
-            for i in 0..self.ts.constraints().len() {
-                let l = tpl.constraint_lit(&st, i, t);
-                match guard {
-                    Some(g) => {
-                        self.bb.solver_mut().add_clause([!g, l]);
-                    }
-                    None => self.bb.assert_lit(l),
+            g
+        });
+        let ts = self.ts;
+        for (i, &c) in ts.constraints().iter().enumerate() {
+            let l = match &self.encoding {
+                // Stamped frames carry pre-encoded (polarity-aware)
+                // constraint literals; activation is positive-phase only,
+                // which is exactly what the encoding guarantees.
+                Encoding::Stamped { template, stamps } => {
+                    template.constraint_lit(&stamps[idx], i, self.bb.true_lit())
                 }
-            }
-        } else {
-            let constraints: Vec<ExprRef> = self.ts.constraints().to_vec();
-            for c in constraints {
-                let l = self.lit_at(idx, c);
-                match guard {
-                    Some(g) => {
-                        self.bb.solver_mut().add_clause([!g, l]);
-                    }
-                    None => self.bb.assert_lit(l),
+                Encoding::DagWalk { .. } => self.lit_at(idx, c),
+            };
+            match guard {
+                Some(g) => {
+                    self.bb.solver_mut().add_clause([!g, l]);
                 }
+                None => self.bb.assert_lit(l),
             }
         }
     }
@@ -280,12 +220,12 @@ impl<'c> Unroller<'c> {
     /// else (new lemmas, candidate monitors) falls back to the per-frame
     /// blaster, sharing template-covered sub-cones.
     pub fn lits_at(&mut self, frame: usize, expr: ExprRef) -> Vec<Lit> {
-        match self.stamps[frame].clone() {
-            Some(st) => {
-                let tpl = self.template.clone().expect("stamped frame has a template");
-                tpl.materialize(self.ctx, &mut self.bb, &mut self.frames[frame], &st, expr)
+        let env = &mut self.frames[frame];
+        match &self.encoding {
+            Encoding::Stamped { template, stamps } => {
+                template.materialize(self.ctx, &mut self.bb, env, &stamps[frame], expr)
             }
-            None => self.bb.blast(self.ctx, &mut self.frames[frame], expr),
+            Encoding::DagWalk { .. } => self.bb.blast(self.ctx, env, expr),
         }
     }
 
@@ -319,6 +259,20 @@ mod tests {
         ts.add_state(c, Some(zero), next);
         ts.add_signal("count", c);
         ts
+    }
+
+    /// The counter with the environment constraint `count < 8`.
+    fn constrained_counter(ctx: &mut Context) -> TransitionSystem {
+        let mut ts = counter(ctx);
+        let c = ctx.find_symbol("count").unwrap();
+        let eight = ctx.constant(8, 4);
+        let lt8 = ctx.ult(c, eight);
+        ts.add_constraint(lt8);
+        ts
+    }
+
+    fn stamped<'c>(ctx: &'c Context, ts: &'c TransitionSystem) -> Unroller<'c> {
+        Unroller::stamped(ctx, ts, Arc::new(Template::build(ctx, ts)))
     }
 
     #[test]
@@ -375,11 +329,8 @@ mod tests {
     #[test]
     fn constraints_apply_every_frame() {
         let mut ctx = Context::new();
-        let mut ts = counter(&mut ctx);
+        let ts = constrained_counter(&mut ctx);
         let c = ctx.find_symbol("count").unwrap();
-        let eight = ctx.constant(8, 4);
-        let lt8 = ctx.ult(c, eight);
-        ts.add_constraint(lt8);
         let seven = ctx.constant(7, 4);
         let eq7 = ctx.eq(c, seven);
         let mut u = Unroller::new(&ctx, &ts, false);
@@ -392,11 +343,8 @@ mod tests {
     #[test]
     fn guarded_constraints_scope_to_the_assumed_window() {
         let mut ctx = Context::new();
-        let mut ts = counter(&mut ctx);
+        let ts = constrained_counter(&mut ctx);
         let c = ctx.find_symbol("count").unwrap();
-        let eight = ctx.constant(8, 4);
-        let lt8 = ctx.ult(c, eight);
-        ts.add_constraint(lt8);
         let seven = ctx.constant(7, 4);
         let eq7 = ctx.eq(c, seven);
         let mut u = Unroller::new_guarded(&ctx, &ts, false);
@@ -434,7 +382,7 @@ mod tests {
         let six = ctx.constant(6, 4);
         let eq5 = ctx.eq(c, five);
         let eq6 = ctx.eq(c, six);
-        let mut u = Unroller::with_mode(&ctx, &ts, false, false, UnrollMode::Template);
+        let mut u = stamped(&ctx, &ts);
         u.ensure_frame(1);
         let a = u.lit_at(0, eq5);
         let b = u.lit_at(1, eq6);
@@ -443,36 +391,20 @@ mod tests {
     }
 
     #[test]
-    fn template_mode_pins_reset_through_frame_zero() {
-        let mut ctx = Context::new();
-        let ts = counter(&mut ctx);
-        let c = ctx.find_symbol("count").unwrap();
-        let three = ctx.constant(3, 4);
-        let eq3 = ctx.eq(c, three);
-        let mut u = Unroller::with_mode(&ctx, &ts, true, true, UnrollMode::Template);
-        u.ensure_frame(3);
-        let l = u.lit_at(3, eq3);
-        // A pinned unrolling keeps the DAG-walk (folding) path even in
-        // Template mode, so count@3 == 3 is forced outright.
-        assert!(u.blaster_mut().solve_with_assumptions(&[!l]).is_unsat());
-    }
-
-    #[test]
     fn template_mode_guarded_constraints_scope_like_dagwalk() {
         let mut ctx = Context::new();
-        let mut ts = counter(&mut ctx);
+        let ts = constrained_counter(&mut ctx);
         let c = ctx.find_symbol("count").unwrap();
-        let eight = ctx.constant(8, 4);
-        let lt8 = ctx.ult(c, eight);
-        ts.add_constraint(lt8);
         let seven = ctx.constant(7, 4);
         let eq7 = ctx.eq(c, seven);
-        let mut u = Unroller::with_mode(&ctx, &ts, false, true, UnrollMode::Template);
+        let mut u = stamped(&ctx, &ts);
         u.ensure_frame(2);
         let g0 = u.frame_guard(0).expect("guarded");
         let g1 = u.frame_guard(1).expect("guarded");
         let l = u.lit_at(0, eq7);
         assert!(u.blaster_mut().solve_with_assumptions(&[g0, l]).is_sat());
         assert!(u.blaster_mut().solve_with_assumptions(&[g0, g1, l]).is_unsat());
+        // With no guard assumed, no frame's constraint is in force.
+        assert!(u.blaster_mut().solve_with_assumptions(&[l]).is_sat());
     }
 }

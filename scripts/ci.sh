@@ -4,13 +4,14 @@
 # warning, e.g. a doc link to a deleted or private item, is an error) are
 # pinned so style drift cannot accumulate. The differential suites in
 # `cargo test` carry every verdict gate (session answers and flow answers
-# re-checked on the reference engine, portfolio, unroll-mode, service and
-# opt equivalence). The e0_ledger benchmark is its
+# re-checked on the reference engine, stamped step frames against the
+# DAG-walking reference, portfolio, service and opt equivalence). The
+# e0_ledger benchmark is its
 # own Cargo package; its tests (unit tests plus a smoke run of every
 # workload) keep it building against the library crates, and a smoke run
 # under each `--ablate` value it accepts keeps every library stub it names
-# working (pool, cube, satsweep and rebuild switch nothing off any more;
-# dagwalk still does). e1 runs the paper's example end
+# working (every value is now inert: pool, cube, satsweep, dagwalk and
+# rebuild switch nothing off any more). e1 runs the paper's example end
 # to end and exits nonzero on any regression in it; e2–e7 print the
 # paper's tables and must run to completion (about 6.5 s together on
 # 2 vCPU). e14 races warm

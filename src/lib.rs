@@ -82,7 +82,7 @@ pub use genfv_sva as sva;
 /// )?;
 ///
 /// // Direct flow call...
-/// let report = run_baseline(&design, &FlowConfig::default().with_unroll_mode(UnrollMode::Template));
+/// let report = run_baseline(&design, &FlowConfig::default());
 /// assert!(report.all_proven());
 ///
 /// // ...the corpus runner...
@@ -114,7 +114,7 @@ pub mod prelude {
     pub use genfv_ir::{BitVecValue, Context, Simulator, TransitionSystem};
     pub use genfv_mc::{
         bmc, render_final_bits, render_waveform, CheckConfig, KInduction, Property, ProveResult,
-        Trace, UnrollMode,
+        Trace,
     };
     pub use genfv_obs::{Obs, ObsConfig, ObsReport};
     pub use genfv_service::{
